@@ -3,9 +3,10 @@
 //! on the paper's default Figure 10 arm mix, plus the two stages that
 //! dominate it in isolation.
 //!
-//! This is the regression anchor for engine performance: CI replays it
-//! and `obs_diff`s the result against `results/baselines/engine_hot.json`
-//! (see `scripts/ci.sh`). Timings run with observability forced off so
+//! This is the regression anchor for engine performance: CI replays it,
+//! ledgers the snapshot, and fails when `obs_report report --check` finds
+//! the newest median more than 50% above
+//! `results/baselines/engine_hot.json` (see `scripts/ci.sh`). Timings run with observability forced off so
 //! the numbers measure the simulator, not the instrumentation; bench
 //! medians are recorded into the obs snapshot afterwards when metrics
 //! are enabled (`RF_OBS=on`), which is how CI gets a comparable snapshot.

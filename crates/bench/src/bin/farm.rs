@@ -34,9 +34,9 @@
 //!   the crash/resume gate, exactly like `RF_FLEET_CRASH_AT` does for the
 //!   fleet simulator.
 //!
-//! Exit codes: 0 every matrix job ok; 1 usage error; 3 the DAG completed
-//! but some jobs failed or were blocked (their manifests carry the
-//! reasons); 4 the farm itself died (injected crash, ledger drift, or a
+//! Exit codes: 0 every matrix job ok; 1 usage or result-write error; 3
+//! the DAG completed but some jobs failed or were blocked (their
+//! manifests carry the reasons); 4 the farm itself died (injected crash, ledger drift, or a
 //! persistence failure) — a crash dump is written and the run resumes
 //! with `--resume`.
 
@@ -448,7 +448,7 @@ fn main() -> ExitCode {
             for (id, outcome, detail) in &rows {
                 t.row(&[id.clone(), outcome.clone(), detail.clone()]);
             }
-            emit(
+            if let Err(e) = emit(
                 "farm_summary",
                 &format!(
                     "Figure farm: {} matrix ({} ok, {} skipped, {} failed, {} blocked, \
@@ -461,7 +461,10 @@ fn main() -> ExitCode {
                     report.attempts
                 ),
                 &t,
-            );
+            ) {
+                eprintln!("farm: {e}");
+                return ExitCode::from(1);
+            }
             relaxfault_bench::obs_finish();
             if report.failed.is_empty() && report.blocked.is_empty() {
                 ExitCode::SUCCESS

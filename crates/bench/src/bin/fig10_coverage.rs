@@ -3,7 +3,7 @@
 
 use relaxfault_bench::{coverage_curves, emit};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = relaxfault_bench::obs_init();
     let trials = args.work(600_000);
     let t = coverage_curves(1.0, trials);
@@ -11,6 +11,7 @@ fn main() {
         "fig10_coverage",
         &format!("Figure 10: coverage vs LLC capacity, 1x FIT ({trials} node trials)"),
         &t,
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

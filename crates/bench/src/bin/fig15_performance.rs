@@ -4,7 +4,7 @@
 use relaxfault_bench::emit;
 use relaxfault_bench::perf::{fig15_table, performance_sweep};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = relaxfault_bench::obs_init();
     let instr = args.work(300_000);
     let rows = performance_sweep(instr, 2016);
@@ -12,6 +12,7 @@ fn main() {
         "fig15_performance",
         &format!("Figure 15: weighted speedup vs LLC repair capacity ({instr} instr/core)"),
         &fig15_table(&rows),
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

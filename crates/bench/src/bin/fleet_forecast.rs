@@ -26,10 +26,10 @@
 //! `/flight` while the run executes; `--profile` writes folded stacks at
 //! exit; `--linger-ms` keeps the endpoint up after the work finishes.
 //!
-//! Exit codes: 0 success, 1 usage error, 4 the run died (simulated crash
-//! or checkpoint failure) — a crash dump with the newest durable
-//! checkpoint embedded lands in `results/obs/`, and the run resumes with
-//! `--resume`.
+//! Exit codes: 0 success, 1 usage or result-write error, 4 the run died
+//! (simulated crash or checkpoint failure) — a crash dump with the
+//! newest durable checkpoint embedded lands in `results/obs/`, and the
+//! run resumes with `--resume`.
 
 use relaxfault_bench::emit;
 use relaxfault_relsim::fleet::{crash_at_from_env, latest_checkpoint, FleetConfig, FleetSim};
@@ -236,16 +236,17 @@ fn main() -> ExitCode {
     // Replace process counters with the fleet's logical state so full and
     // resumed runs snapshot identically (the CI zero-delta gate).
     sim.publish_fleet_obs();
-    emit(
-        "fleet_totals",
-        &format!(
-            "Fleet totals ({} nodes, {} epochs)",
-            sim.nodes(),
-            sim.completed_epochs()
-        ),
-        &totals,
+    let title = format!(
+        "Fleet totals ({} nodes, {} epochs)",
+        sim.nodes(),
+        sim.completed_epochs()
     );
-    emit("fleet_forecast", "Fleet forecast by target size", &forecast);
+    if let Err(e) = emit("fleet_totals", &title, &totals)
+        .and_then(|()| emit("fleet_forecast", "Fleet forecast by target size", &forecast))
+    {
+        eprintln!("fleet_forecast: {e}");
+        return ExitCode::from(1);
+    }
     relaxfault_bench::obs_finish();
     ExitCode::SUCCESS
 }

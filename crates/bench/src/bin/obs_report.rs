@@ -6,6 +6,7 @@
 //! obs_report extend --series NAME --factor F --count N [--ledger PATH] [--results DIR]
 //! obs_report folded-diff <before.folded> <after.folded> [--top N]
 //! obs_report farm [--results DIR] [--check]
+//! obs_report diff <a.json> <b.json>
 //! ```
 //!
 //! * `ingest` sweeps `<results>/obs/*.json` metrics snapshots into the
@@ -15,10 +16,11 @@
 //!   changepoints, baseline comparison against `<results>/baselines/`)
 //!   and writes the self-contained dashboard
 //!   (`<results>/history/report.html` by default). With `--check` it
-//!   also prints one `REGRESSION <series> at epoch <N>` line per bench
-//!   series whose latest regime shifted upward, and exits 1. With
-//!   `--rotate` it writes each baseline-rotation proposal to
-//!   `<results>/baselines/<bench>.proposed.json`.
+//!   also prints one `REGRESSION <series> ...` line per bench series
+//!   whose latest regime shifted upward (`at epoch <N>`) or whose newest
+//!   median sits more than 50% above its committed baseline, and then
+//!   exits 1. With `--rotate` it writes each baseline-rotation proposal
+//!   to `<results>/baselines/<bench>.proposed.json`.
 //! * `extend` appends synthetic runs cloned from the newest entry
 //!   carrying `--series`, with that median multiplied by `--factor` —
 //!   the injection harness the CI history gate uses to prove the
@@ -30,16 +32,25 @@
 //!   job (role, status, attempts, cost, repro archive), mirrored to
 //!   `<results>/farm/report.txt`. With `--check` it exits 1 when any
 //!   matrix job is failed or blocked.
+//! * `diff` is the determinism gate between two metrics snapshots of the
+//!   same pinned-seed work: every counter, every gauge, every histogram's
+//!   count, and the sum of every histogram not named `*_ns` must be
+//!   exactly equal, and a metric present on one side only counts as
+//!   drift. Span timings (`*_ns` sums) and bench medians jitter and are
+//!   the ledger's business, not this one's.
 //!
-//! Exit codes: `0` clean, `1` regression found by `--check`, `2` usage
-//! or I/O error — the same contract as `obs_diff`.
+//! Exit codes: `0` clean, `1` regression found by `--check` or drift
+//! found by `diff`, `2` usage or I/O error (including a `diff` input
+//! that is missing, unreadable, or not a metrics snapshot).
 
 use relaxfault_bench::{folded, report};
 use relaxfault_farm::{FarmLedger, JobManifest, JobStatus};
 use relaxfault_util::history::Ledger;
 use relaxfault_util::json::Value;
+use relaxfault_util::obs;
 use relaxfault_util::persist::{self, Persist};
 use relaxfault_util::table::Table;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -187,13 +198,23 @@ fn run_report(f: &Flags) -> Result<ExitCode, String> {
         reports.len(),
         ledger.entries.len()
     );
+    for r in &reports {
+        if let (Some(baseline), Some(newest)) = (r.baseline, r.points.last()) {
+            println!(
+                "baseline {}: newest {:.1} vs committed {baseline:.1} ({:.2}x)",
+                r.key.label(),
+                newest.value,
+                newest.value / baseline
+            );
+        }
+    }
     if f.rotate {
         write_proposals(&dir, &reports)?;
     }
     let verdict = report::check(&reports);
     if f.check {
         if verdict.is_empty() {
-            println!("check: clean — no bench series' latest regime regressed");
+            println!("check: clean — no bench series regressed or breached its baseline");
         } else {
             for line in &verdict {
                 println!("{line}");
@@ -307,12 +328,86 @@ fn folded_diff(f: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The exactly-compared fields of one metrics snapshot, keyed
+/// `"<kind> <name>[ <field>]"`: counters, gauges, every histogram's
+/// count, and the sum of every histogram not named `*_ns`.
+fn exact_fields(path: &str) -> Result<BTreeMap<String, f64>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = Value::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    if doc.get("kind").is_some()
+        || doc.get("schema_version").and_then(Value::as_f64) != Some(obs::SCHEMA_VERSION as f64)
+    {
+        return Err(format!(
+            "{path} is not a schema_version {} metrics snapshot",
+            obs::SCHEMA_VERSION
+        ));
+    }
+    let section = |key: &str| match doc.get(key) {
+        Some(Value::Object(pairs)) => Ok(pairs),
+        _ => Err(format!("{path} has no `{key}` section")),
+    };
+    let number = |v: &Value, what: &str| {
+        v.as_f64()
+            .ok_or_else(|| format!("{path}: {what} is not a number"))
+    };
+    let mut fields = BTreeMap::new();
+    for (kind, key) in [("counter", "counters"), ("gauge", "gauges")] {
+        for (name, v) in section(key)? {
+            let what = format!("{kind} {name}");
+            fields.insert(what.clone(), number(v, &what)?);
+        }
+    }
+    for (name, h) in section("histograms")? {
+        let mut exact = vec!["count"];
+        if !name.ends_with("_ns") {
+            exact.push("sum");
+        }
+        for field in exact {
+            let what = format!("histogram {name} {field}");
+            let v = h
+                .get(field)
+                .ok_or_else(|| format!("{path}: {what} missing"))?;
+            fields.insert(what.clone(), number(v, &what)?);
+        }
+    }
+    Ok(fields)
+}
+
+fn diff(args: &[String]) -> Result<ExitCode, String> {
+    let [a_path, b_path] = args else {
+        return Err("usage: obs_report diff <a.json> <b.json> (no flags)".into());
+    };
+    let (a, b) = (exact_fields(a_path)?, exact_fields(b_path)?);
+    let keys: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    let render = |v: Option<&f64>| v.map_or_else(|| "-".to_string(), f64::to_string);
+    let mut drifted = 0usize;
+    for key in &keys {
+        let (va, vb) = (a.get(*key), b.get(*key));
+        if va != vb {
+            drifted += 1;
+            println!("DRIFT {key}: {} -> {}", render(va), render(vb));
+        }
+    }
+    println!(
+        "diff {a_path} vs {b_path}: {} exact fields, {drifted} drifted",
+        keys.len()
+    );
+    Ok(if drifted == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    })
+}
+
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().ok_or(
-        "usage: obs_report <ingest|report|extend|folded-diff|farm> [flags]\n\
+        "usage: obs_report <ingest|report|extend|folded-diff|farm|diff> [flags]\n\
          see the module docs (or DESIGN.md §6.2) for the flag list",
     )?;
+    if cmd == "diff" {
+        return diff(&args.collect::<Vec<_>>());
+    }
     let f = parse_flags(args)?;
     match cmd.as_str() {
         "ingest" => ingest(&f),

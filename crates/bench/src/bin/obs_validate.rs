@@ -31,8 +31,8 @@ use relaxfault_util::history;
 use relaxfault_util::json::Value;
 use relaxfault_util::obs;
 use relaxfault_util::persist::Persist;
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::path::Path;
 
 const REQUIRED_KEYS: [&str; 7] = [
     "schema_version",
@@ -51,41 +51,10 @@ fn object_len(doc: &Value, key: &str) -> Result<usize, String> {
     }
 }
 
-/// Whether a parsed document is a relcheck repro case rather than an obs
-/// snapshot.
-fn is_repro(doc: &Value) -> bool {
-    doc.get("kind").and_then(Value::as_str) == Some(REPRO_KIND)
-}
-
-/// Whether a parsed document is a fleet checkpoint.
-fn is_fleet_checkpoint(doc: &Value) -> bool {
-    doc.get("kind").and_then(Value::as_str) == Some(FLEET_CHECKPOINT_KIND)
-}
-
-/// Whether a parsed document is a crash dump.
-fn is_crash_dump(doc: &Value) -> bool {
-    doc.get("kind").and_then(Value::as_str) == Some(crashdump::KIND)
-}
-
-/// Whether a parsed document is a farm job manifest.
-fn is_farm_job(doc: &Value) -> bool {
-    doc.get("kind").and_then(Value::as_str) == Some(JobManifest::KIND)
-}
-
-/// Whether a parsed document is a farm_state ledger.
-fn is_farm_state(doc: &Value) -> bool {
-    doc.get("kind").and_then(Value::as_str) == Some(FarmLedger::KIND)
-}
-
 /// Validates one farm job manifest via the strict deserializer, plus: the
 /// manifest's id must match its file stem (the farm writes
 /// `farm/jobs/<id>.json`), and a failed manifest must carry a reason.
-/// Returns the schema_version for the per-kind mixed-version check.
-fn validate_farm_job(doc: &Value, path: &std::path::Path) -> Result<u64, String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_f64)
-        .ok_or("missing schema_version")? as u64;
+fn validate_farm_job(doc: &Value, path: &Path) -> Result<(), String> {
     let manifest = JobManifest::from_json(doc)?;
     let stem = path
         .file_stem()
@@ -100,17 +69,13 @@ fn validate_farm_job(doc: &Value, path: &std::path::Path) -> Result<u64, String>
     if manifest.status == JobStatus::Failed && manifest.reason.is_none() {
         return Err("failed manifest carries no reason".into());
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Validates one farm_state ledger via the strict deserializer, plus: it
 /// must record at least one job, sorted by id (the binary-search upsert
-/// contract). Returns the schema_version for the mixed-version check.
-fn validate_farm_state(doc: &Value) -> Result<u64, String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_f64)
-        .ok_or("missing schema_version")? as u64;
+/// contract).
+fn validate_farm_state(doc: &Value) -> Result<(), String> {
     let ledger = FarmLedger::from_json(doc)?;
     if ledger.jobs.is_empty() {
         return Err("farm_state ledger records no jobs".into());
@@ -118,30 +83,25 @@ fn validate_farm_state(doc: &Value) -> Result<u64, String> {
     if !ledger.jobs.windows(2).all(|w| w[0].id < w[1].id) {
         return Err("farm_state jobs are not strictly sorted by id".into());
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Validates one crash dump via the strict deserializer (which checks the
 /// run name, non-empty reason, snapshot sections, flight array, and the
 /// shape of any embedded checkpoint), plus: an embedded checkpoint must
 /// itself pass the [`FleetCheckpoint`] deserializer, so `relcheck replay`
-/// is guaranteed to accept anything this gate passed. Returns the dump's
-/// schema_version for the per-kind mixed-version check.
-fn validate_crash_dump(doc: &Value) -> Result<u64, String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_f64)
-        .ok_or("missing schema_version")? as u64;
+/// is guaranteed to accept anything this gate passed.
+fn validate_crash_dump(doc: &Value) -> Result<(), String> {
     let dump = CrashDump::from_json(doc)?;
     if let Some(ckpt) = &dump.checkpoint {
         FleetCheckpoint::from_json(ckpt).map_err(|e| format!("embedded checkpoint: {e}"))?;
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Validates one folded-stack profile: non-empty, every line of the form
 /// `frame[;frame...] count` with a positive integer count.
-fn validate_folded(path: &std::path::Path) -> Result<(), String> {
+fn validate_folded(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     if text.trim().is_empty() {
         return Err("folded profile is empty".into());
@@ -169,7 +129,7 @@ fn validate_folded(path: &std::path::Path) -> Result<(), String> {
 /// every line (a mixed-version ledger means two incompatible writers
 /// interleaved and is rejected even though each line may be individually
 /// decodable), and the structural invariants `relcheck ledger` enforces.
-fn validate_ledger(path: &std::path::Path) -> Result<(), String> {
+fn validate_ledger(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let entries = history::Ledger::parse_entries(&text)?;
     if entries.is_empty() {
@@ -193,18 +153,13 @@ fn validate_ledger(path: &std::path::Path) -> Result<(), String> {
     })
 }
 
-/// Validates one fleet checkpoint via the strict deserializer, returning
-/// its schema_version for the per-kind mixed-version check.
-fn validate_fleet_checkpoint(doc: &Value) -> Result<u64, String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_f64)
-        .ok_or("missing schema_version")? as u64;
+/// Validates one fleet checkpoint via the strict deserializer.
+fn validate_fleet_checkpoint(doc: &Value) -> Result<(), String> {
     let ckpt = FleetCheckpoint::from_json(doc)?;
     if ckpt.scenarios.is_empty() {
         return Err("fleet checkpoint carries no scenario arms".into());
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Validates one relcheck repro case: the strict deserializer accepts it
@@ -220,8 +175,8 @@ fn validate_repro(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates one metrics snapshot, returning its schema_version.
-fn validate_snapshot(doc: &Value, path: &std::path::Path) -> Result<u64, String> {
+/// Validates one metrics snapshot.
+fn validate_snapshot(doc: &Value, path: &Path) -> Result<(), String> {
     for key in REQUIRED_KEYS {
         if doc.get(key).is_none() {
             return Err(format!("missing top-level key `{key}`"));
@@ -265,12 +220,47 @@ fn validate_snapshot(doc: &Value, path: &std::path::Path) -> Result<u64, String>
     if counters + histograms == 0 {
         return Err("snapshot has no counters or histograms".into());
     }
-    Ok(version.expect("checked above") as u64)
+    Ok(())
+}
+
+/// Validates one parsed `.json` artifact, dispatching on its `kind` tag
+/// (untagged documents are metrics snapshots). Returns the artifact
+/// family and its schema_version for the per-family mixed-version check,
+/// or `None` for repro cases, which carry no such check.
+fn validate_doc(doc: &Value, path: &Path) -> Result<Option<(&'static str, u64)>, String> {
+    let family = match doc.get("kind").and_then(Value::as_str) {
+        Some(REPRO_KIND) => return validate_repro(doc).map(|()| None),
+        Some(FLEET_CHECKPOINT_KIND) => {
+            validate_fleet_checkpoint(doc)?;
+            "fleet checkpoints"
+        }
+        Some(crashdump::KIND) => {
+            validate_crash_dump(doc)?;
+            "crash dumps"
+        }
+        Some(<JobManifest as Persist>::KIND) => {
+            validate_farm_job(doc, path)?;
+            "farm job manifests"
+        }
+        Some(<FarmLedger as Persist>::KIND) => {
+            validate_farm_state(doc)?;
+            "farm ledgers"
+        }
+        _ => {
+            validate_snapshot(doc, path)?;
+            "snapshots"
+        }
+    };
+    let version = doc
+        .get("schema_version")
+        .and_then(Value::as_f64)
+        .ok_or("missing schema_version")?;
+    Ok(Some((family, version as u64)))
 }
 
 /// Validates one exported Chrome trace: an array of `ph: "X"` complete
 /// events whose `ts` is strictly monotone within each `tid` track.
-fn validate_trace(path: &std::path::Path) -> Result<(), String> {
+fn validate_trace(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let doc = Value::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let events = doc.as_array().ok_or("trace is not a JSON array")?;
@@ -319,11 +309,7 @@ fn main() {
     };
     let mut checked = 0usize;
     let mut failed = 0usize;
-    let mut versions: BTreeSet<u64> = BTreeSet::new();
-    let mut fleet_versions: BTreeSet<u64> = BTreeSet::new();
-    let mut crash_versions: BTreeSet<u64> = BTreeSet::new();
-    let mut farm_job_versions: BTreeSet<u64> = BTreeSet::new();
-    let mut farm_state_versions: BTreeSet<u64> = BTreeSet::new();
+    let mut versions: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
     paths.sort();
     for path in paths {
         let name = path
@@ -341,28 +327,15 @@ fn main() {
             validate_ledger(&path)
         } else if name.ends_with(".json") {
             checked += 1;
-            match std::fs::read_to_string(&path)
+            std::fs::read_to_string(&path)
                 .map_err(|e| format!("read failed: {e}"))
                 .and_then(|text| Value::parse(&text).map_err(|e| format!("invalid JSON: {e}")))
-            {
-                Ok(doc) if is_repro(&doc) => validate_repro(&doc),
-                Ok(doc) if is_fleet_checkpoint(&doc) => validate_fleet_checkpoint(&doc).map(|v| {
-                    fleet_versions.insert(v);
-                }),
-                Ok(doc) if is_crash_dump(&doc) => validate_crash_dump(&doc).map(|v| {
-                    crash_versions.insert(v);
-                }),
-                Ok(doc) if is_farm_job(&doc) => validate_farm_job(&doc, &path).map(|v| {
-                    farm_job_versions.insert(v);
-                }),
-                Ok(doc) if is_farm_state(&doc) => validate_farm_state(&doc).map(|v| {
-                    farm_state_versions.insert(v);
-                }),
-                Ok(doc) => validate_snapshot(&doc, &path).map(|v| {
-                    versions.insert(v);
-                }),
-                Err(e) => Err(e),
-            }
+                .and_then(|doc| validate_doc(&doc, &path))
+                .map(|family| {
+                    if let Some((family, version)) = family {
+                        versions.entry(family).or_default().insert(version);
+                    }
+                })
         } else {
             continue; // .prom and friends have their own consumers
         };
@@ -378,31 +351,11 @@ fn main() {
         eprintln!("obs_validate: no snapshots found in {dir}");
         std::process::exit(1);
     }
-    if versions.len() > 1 {
-        failed += 1;
-        eprintln!("FAILED  {dir}: mixed schema_versions across snapshots: {versions:?}");
-    }
-    if fleet_versions.len() > 1 {
-        failed += 1;
-        eprintln!(
-            "FAILED  {dir}: mixed schema_versions across fleet checkpoints: {fleet_versions:?}"
-        );
-    }
-    if crash_versions.len() > 1 {
-        failed += 1;
-        eprintln!("FAILED  {dir}: mixed schema_versions across crash dumps: {crash_versions:?}");
-    }
-    if farm_job_versions.len() > 1 {
-        failed += 1;
-        eprintln!(
-            "FAILED  {dir}: mixed schema_versions across farm job manifests: {farm_job_versions:?}"
-        );
-    }
-    if farm_state_versions.len() > 1 {
-        failed += 1;
-        eprintln!(
-            "FAILED  {dir}: mixed schema_versions across farm ledgers: {farm_state_versions:?}"
-        );
+    for (family, set) in &versions {
+        if set.len() > 1 {
+            failed += 1;
+            eprintln!("FAILED  {dir}: mixed schema_versions across {family}: {set:?}");
+        }
     }
     println!("obs_validate: {checked} artifact(s), {failed} failure(s)");
     if failed > 0 {

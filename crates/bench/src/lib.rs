@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-pub mod diff;
 pub mod folded;
 pub mod perf;
 pub mod report;
@@ -285,42 +284,52 @@ fn run_name(default: &str) -> String {
 /// manifest), a Prometheus text exposition (`<run>.prom`), and — if any
 /// events were captured by the `RF_TRACE` filter — a Perfetto-loadable
 /// Chrome trace (`<run>.trace.json`) land under `<dir>/obs/`.
-pub fn emit(name: &str, title: &str, table: &Table) {
+///
+/// # Errors
+///
+/// Returns the first directory-creation or file-write failure, with the
+/// failing path in the message; the figure binaries exit non-zero on it.
+pub fn emit(name: &str, title: &str, table: &Table) -> std::io::Result<()> {
     println!("== {title} ==");
     print!("{}", table.render());
     println!();
-    let dir = std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(
-            format!("{dir}/{name}.txt"),
-            format!("{title}\n{}", table.render()),
-        );
-        let _ = std::fs::write(format!("{dir}/{name}.csv"), table.to_csv());
-        let doc = Value::object([
-            ("schema_version", Value::from(obs::SCHEMA_VERSION)),
-            ("title", title.into()),
-            ("rows", table.to_json()),
-        ]);
-        let _ = std::fs::write(format!("{dir}/{name}.json"), doc.to_pretty());
-    }
+    let dir = obs::results_dir();
+    write(
+        format!("{dir}/{name}.txt"),
+        format!("{title}\n{}", table.render()),
+    )?;
+    write(format!("{dir}/{name}.csv"), table.to_csv())?;
+    let doc = Value::object([
+        ("schema_version", Value::from(obs::SCHEMA_VERSION)),
+        ("title", title.into()),
+        ("rows", table.to_json()),
+    ]);
+    write(format!("{dir}/{name}.json"), doc.to_pretty())?;
     let run = run_name(name);
     if obs::metrics_enabled() {
-        match obs::write_snapshot(&run) {
-            Ok(path) => println!("obs snapshot: {path}"),
-            Err(e) => eprintln!("obs snapshot failed: {e}"),
-        }
-        if std::fs::create_dir_all(format!("{dir}/obs")).is_ok() {
-            let _ = std::fs::write(format!("{dir}/obs/{run}.prom"), export::prometheus_text());
-        }
+        println!("obs snapshot: {}", obs::write_snapshot(&run)?);
+        write(format!("{dir}/obs/{run}.prom"), export::prometheus_text())?;
     }
     let events = obs::drain_events();
-    if !events.is_empty() && std::fs::create_dir_all(format!("{dir}/obs")).is_ok() {
-        let path = format!("{dir}/obs/{run}.trace.json");
-        match std::fs::write(&path, export::chrome_trace(&events).to_pretty()) {
-            Ok(()) => println!("trace: {path}"),
-            Err(e) => eprintln!("trace export failed: {e}"),
-        }
+    if !events.is_empty() {
+        let path = write(
+            format!("{dir}/obs/{run}.trace.json"),
+            export::chrome_trace(&events).to_pretty(),
+        )?;
+        println!("trace: {path}");
     }
+    Ok(())
+}
+
+/// Writes `text` to `path`, creating its directory first, and returns
+/// the path; errors name the path they happened on.
+fn write(path: String, text: String) -> std::io::Result<String> {
+    let with_path = |e: std::io::Error| std::io::Error::new(e.kind(), format!("{path}: {e}"));
+    if let Some(parent) = std::path::Path::new(&path).parent() {
+        std::fs::create_dir_all(parent).map_err(with_path)?;
+    }
+    std::fs::write(&path, text).map_err(with_path)?;
+    Ok(path)
 }
 
 fn default_run(trials: u64) -> RunConfig {

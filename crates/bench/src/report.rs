@@ -8,7 +8,9 @@
 //! external assets, no timestamps) whose bytes are a pure function of
 //! the ledger and baselines, so re-rendering an unchanged tree is
 //! byte-identical. [`check`] distills the same analysis into the CI
-//! question: *did the latest regime of any bench series shift upward?*
+//! question: *did the latest regime of any bench series shift upward, or
+//! does its newest median sit more than [`BASELINE_LIMIT`] above its
+//! committed baseline?*
 //!
 //! Baselines are the committed obs snapshots under
 //! `<results>/baselines/`; a series matches a baseline when the bench
@@ -34,6 +36,11 @@ pub const BASELINE_MARGIN: f64 = 0.05;
 /// sit for [`SeriesReport::regression`] to gate — filters out CUSUM
 /// detections whose regime has since recovered.
 pub const REGRESSION_MARGIN: f64 = 0.05;
+
+/// How far above its committed baseline a bench series' newest median
+/// may sit before [`check`] fails it (relative: 0.5 = 50% slower). Wide,
+/// because baselines are often recorded on another machine.
+pub const BASELINE_LIMIT: f64 = 0.5;
 
 /// A bench series whose latest regime regressed: the verdict
 /// [`check`] and the dashboard's regression table are built from.
@@ -112,6 +119,19 @@ impl SeriesReport {
             )
         })
     }
+
+    /// One-line description of a baseline breach: the newest median
+    /// more than [`BASELINE_LIMIT`] above the committed baseline.
+    pub fn baseline_line(&self) -> Option<String> {
+        let (newest, baseline) = (self.points.last()?.value, self.baseline?);
+        (newest > baseline * (1.0 + BASELINE_LIMIT)).then(|| {
+            format!(
+                "REGRESSION {} over baseline: newest median {newest:.1} is {:.2}x the committed {baseline:.1}",
+                self.key.label(),
+                newest / baseline
+            )
+        })
+    }
 }
 
 /// Reads every committed baseline snapshot under `baselines_dir` into
@@ -177,12 +197,14 @@ pub fn analyze(
 }
 
 /// The CI verdict over a full analysis: one line per regressed bench
-/// series; empty means the latest regime of every bench series is at or
-/// below its trend.
+/// series and one per baseline breach; empty means every bench series'
+/// latest regime is at or below its trend and within
+/// [`BASELINE_LIMIT`] of its baseline.
 pub fn check(reports: &[SeriesReport]) -> Vec<String> {
     reports
         .iter()
-        .filter_map(SeriesReport::regression_line)
+        .flat_map(|r| [r.regression_line(), r.baseline_line()])
+        .flatten()
         .collect()
 }
 

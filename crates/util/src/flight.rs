@@ -1,82 +1,83 @@
-//! Flight recorder: always-on, bounded-memory capture of recent events.
+//! Flight recorder: the workspace's one event store.
 //!
-//! The tracing buffers in [`crate::obs`] grow until a sink drains them at
-//! the end of a run — fine for post-hoc artifacts, useless for a process
-//! that has been stepping a fleet simulation for minutes and just crashed,
-//! or that an operator wants to inspect *right now*. The flight recorder
-//! keeps the **most recent** events in per-thread ring buffers of fixed
-//! capacity, so memory stays bounded no matter how long the run is, and a
-//! non-destructive [`snapshot`] can be taken at any time: by the live
-//! `/flight` endpoint in [`crate::serve`], or by a crash dump in
-//! [`crate::crashdump`] on the way down.
+//! Every event that passes the `RF_TRACE` filter lands here, recorded by
+//! [`crate::obs::emit`], and so does a synthetic completion event per
+//! metrics span (target [`crate::obs::SPAN_TARGET`], field `ns`), emitted
+//! when a [`crate::obs::SpanTimer`] drops while metrics are on, so the
+//! recorder sees span timings even when tracing is off. Events live in
+//! per-thread ring buffers of fixed capacity, so memory stays bounded no
+//! matter how long the run is. Two readers consume them:
 //!
-//! Two streams feed it:
-//!
-//! * every event that passes the `RF_TRACE` filter (recorded by
-//!   [`crate::obs::emit`] before it enters the ordinary trace buffers), and
-//! * a synthetic completion event per metrics span (target
-//!   [`crate::obs::SPAN_TARGET`], field `ns`), emitted when a
-//!   [`crate::obs::SpanTimer`] drops while metrics are on — so the recorder
-//!   sees span timings even when tracing is off.
+//! * a non-destructive [`snapshot`], taken at any time by the live
+//!   `/flight` endpoint in [`crate::serve`] or by a crash dump in
+//!   [`crate::crashdump`] on the way down;
+//! * [`crate::obs::drain_events`], which takes the non-span events for a
+//!   run's `trace.json` artifact and empties the rings.
 //!
 //! # Concurrency and determinism
 //!
 //! Each worker thread owns its ring and writes through a mutex that no
 //! other thread touches during normal operation, so writers never contend
-//! with each other — a reader taking a [`snapshot`] locks each ring just
-//! long enough to clone it, and a writer that loses that race blocks only
-//! for the clone of its own ring. Events carry the same deterministic
-//! `(trial, group, seq)` keys as the trace stream and [`snapshot`] merges
-//! with [`crate::obs::sort_merged`], so as long as no ring has wrapped,
-//! the drained order is byte-identical across thread counts — the same
-//! contract `drain_events` makes, tested in `tests/live_plane.rs`.
-//! Once a ring wraps, the oldest events are gone (counted by
-//! [`overwritten`]) and the retained *window* becomes thread-count
-//! dependent even though the sort order of what remains never is.
+//! with each other — a reader locks each ring just long enough to clone
+//! (or take) it, and a writer that loses that race blocks only for that
+//! copy of its own ring. A thread adopts the ring of an exited thread
+//! before allocating a new one, so the ring count is bounded by the peak
+//! number of live recording threads while the events of exited threads
+//! stay readable. Events carry deterministic `(trial, group, seq)` keys
+//! and both readers merge with [`crate::obs::sort_merged`], so as long as
+//! no ring has wrapped, the merged order is byte-identical across thread
+//! counts (tested in `tests/obs_determinism.rs` and
+//! `tests/live_plane.rs`). Once a ring wraps, the oldest events are gone
+//! (counted by [`crate::obs::dropped_events`]) and the retained *window*
+//! becomes thread-count dependent even though the sort order of what
+//! remains never is.
 //!
-//! The recorder defaults to on with capacity 4096 events per thread;
-//! `RF_FLIGHT=off` kills it, `RF_FLIGHT_CAP=<n>` resizes it. The recording
-//! fast path when disabled is one relaxed atomic load.
+//! Rings hold up to 65,536 events each ([`DEFAULT_CAP`];
+//! `RF_FLIGHT_CAP=<n>` resizes them) and grow lazily, so a process that
+//! records nothing allocates nothing. `RF_OBS=off` stops all recording.
 
 use crate::obs::Event;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default per-thread ring capacity (events), before `RF_FLIGHT_CAP`.
-pub const DEFAULT_CAP: usize = 4096;
+pub const DEFAULT_CAP: usize = 1 << 16;
 
 /// One thread's ring: a vector that grows to capacity and then becomes a
 /// circular buffer with `next` as the write (and oldest-entry) cursor.
+#[derive(Default)]
 struct Ring {
-    inner: Mutex<RingInner>,
-}
-
-struct RingInner {
     buf: Vec<Event>,
     next: usize,
 }
 
+impl Ring {
+    /// Moves the contents out oldest-first, leaving the ring empty.
+    fn take(&mut self) -> Vec<Event> {
+        let mut events = std::mem::take(&mut self.buf);
+        let split = self.next.min(events.len());
+        events.rotate_left(split);
+        self.next = 0;
+        events
+    }
+}
+
 struct FlightGlobal {
-    enabled: AtomicBool,
     cap: AtomicUsize,
     overwritten: AtomicU64,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
 }
 
 fn global() -> &'static FlightGlobal {
     static GLOBAL: OnceLock<FlightGlobal> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let off = std::env::var("RF_FLIGHT")
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-            .unwrap_or(false);
         let cap = std::env::var("RF_FLIGHT_CAP")
             .ok()
             .and_then(|s| s.parse().ok())
             .filter(|&c| c > 0)
             .unwrap_or(DEFAULT_CAP);
         FlightGlobal {
-            enabled: AtomicBool::new(!off),
             cap: AtomicUsize::new(cap),
             overwritten: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
@@ -85,20 +86,7 @@ fn global() -> &'static FlightGlobal {
 }
 
 thread_local! {
-    static LOCAL_RING: RefCell<Option<Arc<Ring>>> = const { RefCell::new(None) };
-}
-
-/// Whether recording is on — the fast gate callers check before cloning an
-/// event (one relaxed load).
-#[inline]
-pub fn enabled() -> bool {
-    global().enabled.load(Ordering::Relaxed)
-}
-
-/// Turns recording on or off (the programmatic `RF_FLIGHT`). Existing ring
-/// contents are kept either way.
-pub fn set_enabled(on: bool) {
-    global().enabled.store(on, Ordering::Relaxed);
+    static LOCAL_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
 }
 
 /// Sets the per-thread ring capacity for subsequent records (the
@@ -109,55 +97,40 @@ pub fn set_capacity(cap: usize) {
     global().cap.store(cap.max(1), Ordering::Relaxed);
 }
 
-/// Current per-thread ring capacity.
-pub fn capacity() -> usize {
-    global().cap.load(Ordering::Relaxed)
-}
-
 /// Records one event into the calling thread's ring, overwriting the
-/// oldest entry when full. No-op while disabled.
-pub fn record(event: Event) {
+/// oldest entry when full.
+pub(crate) fn record(event: Event) {
     let g = global();
-    if !g.enabled.load(Ordering::Relaxed) {
-        return;
-    }
     LOCAL_RING.with(|cell| {
         let mut slot = cell.borrow_mut();
         let ring = slot.get_or_insert_with(|| {
-            let ring = Arc::new(Ring {
-                inner: Mutex::new(RingInner {
-                    buf: Vec::new(),
-                    next: 0,
-                }),
-            });
             let mut rings = g.rings.lock().expect("flight ring registry");
-            // Rings of exited threads are kept until [`clear`] so their
-            // recent events stay drainable, but bound the registry against
-            // pathological thread churn.
-            if rings.len() >= 256 {
-                rings.retain(|r| Arc::strong_count(r) > 1);
+            // A ring whose only owner is the registry belongs to an exited
+            // thread: adopt it, events and all.
+            if let Some(idle) = rings.iter().find(|r| Arc::strong_count(r) == 1) {
+                return idle.clone();
             }
+            let ring = Arc::new(Mutex::new(Ring::default()));
             rings.push(ring.clone());
             ring
         });
         let cap = g.cap.load(Ordering::Relaxed);
-        let mut inner = ring.inner.lock().expect("flight ring");
-        if inner.buf.len() < cap {
-            inner.buf.push(event);
+        let mut ring = ring.lock().expect("flight ring");
+        if ring.buf.len() < cap {
+            ring.buf.push(event);
         } else {
             // Full (or capacity shrank): overwrite the oldest entry.
-            let next = inner.next % inner.buf.len();
-            inner.buf[next] = event;
-            inner.next = (next + 1) % inner.buf.len();
+            let next = ring.next % ring.buf.len();
+            ring.buf[next] = event;
+            ring.next = (next + 1) % ring.buf.len();
             g.overwritten.fetch_add(1, Ordering::Relaxed);
         }
     });
 }
 
-/// Events discarded by ring wraparound since the last [`clear`]. When this
-/// is zero, [`snapshot`] holds the *complete* recorded stream and its
-/// merged order is thread-count independent.
-pub fn overwritten() -> u64 {
+/// Events discarded by ring wraparound since the last [`clear`]; surfaced
+/// as [`crate::obs::dropped_events`].
+pub(crate) fn overwritten() -> u64 {
     global().overwritten.load(Ordering::Relaxed)
 }
 
@@ -166,30 +139,34 @@ pub fn overwritten() -> u64 {
 /// [`crate::obs::sort_merged`]. Safe to call at any time, including while
 /// workers are still recording: each ring is locked only for its clone.
 pub fn snapshot() -> Vec<Event> {
-    let rings: Vec<Arc<Ring>> = global().rings.lock().expect("flight ring registry").clone();
+    let rings = global().rings.lock().expect("flight ring registry").clone();
     let mut all: Vec<Event> = Vec::new();
     for ring in rings {
-        let inner = ring.inner.lock().expect("flight ring");
+        let ring = ring.lock().expect("flight ring");
         // Oldest-first: the tail from the write cursor, then the head.
-        if inner.buf.len() > inner.next {
-            all.extend_from_slice(&inner.buf[inner.next..]);
-        }
-        all.extend_from_slice(&inner.buf[..inner.next.min(inner.buf.len())]);
+        let split = ring.next.min(ring.buf.len());
+        all.extend_from_slice(&ring.buf[split..]);
+        all.extend_from_slice(&ring.buf[..split]);
     }
     crate::obs::sort_merged(all)
 }
 
-/// Empties every ring, drops rings of exited threads, and zeroes the
-/// overwritten count. Wired into [`crate::obs::reset`].
-pub fn clear() {
-    let g = global();
-    let mut rings = g.rings.lock().expect("flight ring registry");
+/// Moves every ring's contents out (unsorted) and leaves the rings empty;
+/// the wraparound count is kept. Backs [`crate::obs::drain_events`].
+pub(crate) fn take() -> Vec<Event> {
+    let rings = global().rings.lock().expect("flight ring registry");
+    let mut all: Vec<Event> = Vec::new();
     for ring in rings.iter() {
-        let mut inner = ring.inner.lock().expect("flight ring");
-        inner.buf.clear();
-        inner.next = 0;
+        all.append(&mut ring.lock().expect("flight ring").take());
     }
-    rings.retain(|r| Arc::strong_count(r) > 1);
+    all
+}
+
+/// Empties every ring and zeroes the wraparound count. Wired into
+/// [`crate::obs::reset`].
+pub(crate) fn clear() {
+    let g = global();
+    take();
     g.overwritten.store(0, Ordering::Relaxed);
 }
 
@@ -205,7 +182,6 @@ mod tests {
         fn drop(&mut self) {
             obs::set_filter("").expect("empty filter parses");
             obs::set_metrics_enabled(false);
-            set_enabled(true);
             set_capacity(DEFAULT_CAP);
             obs::reset();
         }
@@ -249,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let _serial = obs::exclusive();
-        let _restore = Restore;
-        obs::reset();
-        obs::set_filter("flighttest=debug").unwrap();
-        set_enabled(false);
-        emit_scoped(0, 4);
-        assert_eq!(snapshot().len(), 0);
-    }
-
-    #[test]
     fn span_completions_become_keyed_events() {
         let _serial = obs::exclusive();
         let _restore = Restore;
@@ -277,6 +242,26 @@ mod tests {
         assert_eq!((e.trial, e.group, e.seq), (9, 2, 0));
         assert_eq!(e.fields.len(), 1);
         assert_eq!(e.fields[0].0, "ns");
+    }
+
+    #[test]
+    fn exited_threads_rings_are_adopted_with_their_events() {
+        let _serial = obs::exclusive();
+        let _restore = Restore;
+        obs::reset();
+        obs::set_filter("flighttest=debug").unwrap();
+        let rings_before = global().rings.lock().unwrap().len();
+        for trial in 0..4u64 {
+            std::thread::spawn(move || emit_scoped(trial, 3))
+                .join()
+                .expect("writer thread");
+        }
+        // Each writer exits before the next starts, so one ring serves all
+        // four, and none of their events is lost.
+        assert!(global().rings.lock().unwrap().len() <= rings_before + 1);
+        assert_eq!(snapshot().len(), 12);
+        assert_eq!(obs::drain_events().len(), 12);
+        assert!(snapshot().is_empty(), "drain empties the rings");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Cross-run perf-history ledger: the longitudinal layer behind the
 //! observatory.
 //!
-//! Every obs snapshot is a *point* measurement; `obs_diff` compares two
-//! of them. This module gives the repo the missing axis — **time across
-//! runs** — as an append-only, schema-versioned ledger at
-//! `<results>/history/ledger.jsonl`. Each line is one [`HistoryEntry`]
+//! Every obs snapshot is a *point* measurement; `obs_report diff`
+//! checks two of them for drift. This module gives the repo the missing
+//! axis — **time across runs** — as an append-only, schema-versioned
+//! ledger at `<results>/history/ledger.jsonl`, the repo's one record of
+//! what each run produced. Each line is one [`HistoryEntry`]
 //! (a [`Persist`] artifact, kind `history_entry`): a run's manifest
 //! identity (run name, git SHA, config hash, threads, wall clock)
 //! distilled together with its bench medians and counters. Grouping the
@@ -777,6 +778,9 @@ mod tests {
         let dup = entry("a", 1, 10.0);
         let err = check_invariants(&mk(vec![dup.clone(), dup])).unwrap_err();
         assert!(err.contains("duplicate id"), "{err}");
+
+        // A corrupt (non-finite) bench median never counts as a value.
+        assert!(check_invariants(&mk(vec![entry("nan", 1, f64::NAN)])).is_err());
 
         // Wall clock going backwards within one lineage.
         let err = check_invariants(&mk(vec![

@@ -5,9 +5,10 @@
 //! those runs inspectable without making them slower or nondeterministic:
 //!
 //! * **Event tracing** — leveled, key-value events emitted through the
-//!   [`trace_event!`](crate::trace_event) macro into per-thread buffers.
+//!   [`trace_event!`](crate::trace_event) macro into the per-thread rings
+//!   of the flight recorder ([`crate::flight`], the one event store).
 //!   Events carry a `(trial, group)` scope key plus a per-scope sequence
-//!   number, so [`drain_events`] can merge the buffers into a stream whose
+//!   number, so [`drain_events`] can merge the rings into a stream whose
 //!   order depends only on the work, never on which worker thread ran it:
 //!   the rendered stream is byte-identical across thread counts.
 //! * **Metrics** — a process-wide registry of named [`Counter`]s,
@@ -22,10 +23,10 @@
 //!   written under `results/obs/<run>.json`).
 //! * **Run manifests** — every snapshot embeds a [`Manifest`] (git SHA,
 //!   cargo profile, thread count, RNG seeds, scenario config hash,
-//!   wall-clock from an injectable clock) and [`write_snapshot`] appends
-//!   the run to the `results/runs/index.json` registry atomically, so any
-//!   two runs can be compared long after the processes that produced them
-//!   are gone (the `obs_diff` reporter consumes exactly this metadata).
+//!   wall-clock from an injectable clock), so any two runs can be compared
+//!   long after the processes that produced them are gone. The bench
+//!   harness appends every snapshot it writes to the perf-history ledger
+//!   ([`crate::history`]), the one record of what each run produced.
 //!   Simulators publish their parameters through [`note_run_context`];
 //!   bench harnesses publish medians through [`record_bench`]. External
 //!   tool formats (Perfetto traces, Prometheus exposition) are produced by
@@ -49,8 +50,8 @@
 //! is deterministic — which it is whenever the traced code is
 //! deterministic in `(seed, trial, group)` — the merged stream is
 //! reproducible at any thread count, provided no events were dropped
-//! (per-thread buffers are bounded; [`dropped_events`] reports losses and
-//! the snapshot records them).
+//! (the flight recorder's rings are bounded; [`dropped_events`] reports
+//! losses and the snapshot records them).
 //!
 //! # Examples
 //!
@@ -78,16 +79,15 @@
 //! ```
 
 use crate::json::Value;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Schema marker shared by every machine-readable artifact this workspace
-/// emits (metrics snapshots, the bench tables' JSON mirrors, the run
-/// registry, and obs_diff verdicts), so downstream tooling can evolve all
-/// of them in lockstep. Version 2 added the embedded [`Manifest`] and the
-/// `benches` snapshot section.
+/// emits (metrics snapshots and the bench tables' JSON mirrors), so
+/// downstream tooling can evolve all of them in lockstep. Version 2 added
+/// the embedded [`Manifest`] and the `benches` snapshot section.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Scope key meaning "not inside any [`scope`] guard".
@@ -362,10 +362,6 @@ macro_rules! trace_event {
 // Global state
 // ---------------------------------------------------------------------------
 
-struct ThreadBuf {
-    events: Mutex<Vec<Event>>,
-}
-
 enum Metric {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -382,18 +378,13 @@ struct Global {
     /// Whether metrics were requested (survives force-off toggles).
     metrics_wanted: AtomicBool,
     filter: Mutex<Filter>,
-    buffers: Mutex<Vec<Arc<ThreadBuf>>>,
     metrics: Mutex<Vec<(String, Metric)>>,
-    dropped: AtomicU64,
-    buf_cap: usize,
     /// Simulator-published run parameters folded into the [`Manifest`].
     run_ctx: Mutex<RunContext>,
     /// Bench medians published by `timing::Harness` for the snapshot.
     benches: Mutex<Vec<BenchRecord>>,
     /// Injected wall clock (tests pin it; `None` = `SystemTime::now`).
     clock_ms: Mutex<Option<fn() -> u64>>,
-    /// Serializes appends to the run registry within this process.
-    index_lock: Mutex<()>,
     /// Serializes tests that reconfigure the process-wide state.
     test_lock: Mutex<()>,
 }
@@ -441,24 +432,16 @@ fn global() -> &'static Global {
                 }
             })
             .unwrap_or_default();
-        let buf_cap = std::env::var("RF_TRACE_BUF")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1 << 16);
         let g = Global {
             force_off: AtomicBool::new(force_off),
             max_level: AtomicU8::new(0),
             metrics_on: AtomicBool::new(false),
             metrics_wanted: AtomicBool::new(metrics_wanted),
             filter: Mutex::new(filter),
-            buffers: Mutex::new(Vec::new()),
             metrics: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            buf_cap,
             run_ctx: Mutex::new(RunContext::default()),
             benches: Mutex::new(Vec::new()),
             clock_ms: Mutex::new(None),
-            index_lock: Mutex::new(()),
             test_lock: Mutex::new(()),
         };
         g.recompute_gates();
@@ -468,7 +451,6 @@ fn global() -> &'static Global {
 
 thread_local! {
     static SCOPE: Cell<(u64, u64, u64)> = const { Cell::new((UNSCOPED, UNSCOPED, 0)) };
-    static LOCAL_BUF: RefCell<Option<Arc<ThreadBuf>>> = const { RefCell::new(None) };
 }
 
 /// Whether an event at `level` for `target` would be recorded.
@@ -524,10 +506,11 @@ pub fn is_force_off() -> bool {
     global().force_off.load(Ordering::Relaxed)
 }
 
-/// Events discarded because a per-thread buffer was full (determinism of
-/// the merged stream is only guaranteed when this is zero).
+/// Events the flight recorder's rings overwrote since the last [`reset`]
+/// (determinism of the merged stream is only guaranteed when this is
+/// zero).
 pub fn dropped_events() -> u64 {
-    global().dropped.load(Ordering::Relaxed)
+    crate::flight::overwritten()
 }
 
 /// Serializes tests that reconfigure the process-wide registry. Production
@@ -561,21 +544,22 @@ pub fn scope(trial: u64, group: u64) -> ScopeGuard {
     ScopeGuard { prev }
 }
 
-/// Records an event unconditionally — call through
-/// [`trace_event!`](crate::trace_event), which applies the filter first.
+/// Stamps an event with the current scope key, consuming one sequence
+/// number, and records it into the flight recorder unconditionally —
+/// call through [`trace_event!`](crate::trace_event), which applies the
+/// filter first.
 pub fn emit(
     target: &'static str,
     level: Level,
     name: &'static str,
     fields: Vec<(&'static str, FieldValue)>,
 ) {
-    let g = global();
     let (trial, group, seq) = SCOPE.with(|s| {
         let (t, gr, seq) = s.get();
         s.set((t, gr, seq + 1));
         (t, gr, seq)
     });
-    let event = Event {
+    crate::flight::record(Event {
         target,
         level,
         name,
@@ -583,43 +567,19 @@ pub fn emit(
         group,
         seq,
         fields,
-    };
-    if crate::flight::enabled() {
-        crate::flight::record(event.clone());
-    }
-    LOCAL_BUF.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let buf = slot.get_or_insert_with(|| {
-            let buf = Arc::new(ThreadBuf {
-                events: Mutex::new(Vec::new()),
-            });
-            g.buffers.lock().expect("buffer registry").push(buf.clone());
-            buf
-        });
-        let mut events = buf.events.lock().expect("thread buffer");
-        if events.len() < g.buf_cap {
-            events.push(event);
-        } else {
-            g.dropped.fetch_add(1, Ordering::Relaxed);
-        }
     });
 }
 
-/// Takes every buffered event and merges them into the deterministic
-/// stream: scoped events ordered by `(trial, group, seq)`, unscoped events
-/// after them, ties broken by rendered text. Buffers of exited threads are
-/// unregistered once drained.
+/// Takes every recorded trace event out of the flight recorder and merges
+/// them into the deterministic stream: scoped events ordered by
+/// `(trial, group, seq)`, unscoped events after them, ties broken by
+/// rendered text. Span completions ([`SPAN_TARGET`]) are discarded with
+/// the rest of the rings' contents, so the stream holds exactly the
+/// events that passed the trace filter.
 pub fn drain_events() -> Vec<Event> {
-    let g = global();
-    let mut all: Vec<Event> = Vec::new();
-    {
-        let mut buffers = g.buffers.lock().expect("buffer registry");
-        for buf in buffers.iter() {
-            all.append(&mut buf.events.lock().expect("thread buffer"));
-        }
-        buffers.retain(|b| Arc::strong_count(b) > 1);
-    }
-    sort_merged(all)
+    let mut events = crate::flight::take();
+    events.retain(|e| e.target != SPAN_TARGET);
+    sort_merged(events)
 }
 
 /// Sorts events into the canonical merged order: scoped events by
@@ -848,9 +808,12 @@ impl Drop for SpanTimer {
         if let Some((hist, start)) = self.hist.take() {
             let ns = start.elapsed().as_nanos() as u64;
             hist.record(ns);
-            if crate::flight::enabled() {
-                record_span_event(hist.name(), ns);
-            }
+            emit(
+                SPAN_TARGET,
+                Level::Debug,
+                hist.name(),
+                vec![("ns", FieldValue::U64(ns))],
+            );
         }
         if self.pushed {
             crate::profiler::exit();
@@ -860,28 +823,10 @@ impl Drop for SpanTimer {
 
 /// Target carried by the synthetic span-completion events the flight
 /// recorder captures when a [`SpanTimer`] drops (see [`crate::flight`]).
+/// They are keyed like any other event — each consumes a sequence number
+/// from the current scope — so flight snapshots order span completions
+/// deterministically relative to the trace events around them.
 pub const SPAN_TARGET: &str = "obs.span";
-
-/// Feeds one completed span into the flight recorder as a synthetic event
-/// keyed like any other: it consumes a sequence number from the current
-/// scope, so drained flight streams order span completions deterministically
-/// relative to the trace events around them.
-fn record_span_event(name: &'static str, ns: u64) {
-    let (trial, group, seq) = SCOPE.with(|s| {
-        let (t, gr, seq) = s.get();
-        s.set((t, gr, seq + 1));
-        (t, gr, seq)
-    });
-    crate::flight::record(Event {
-        target: SPAN_TARGET,
-        level: Level::Debug,
-        name,
-        trial,
-        group,
-        seq,
-        fields: vec![("ns", FieldValue::U64(ns))],
-    });
-}
 
 fn with_registry<T>(
     name: &str,
@@ -1069,7 +1014,7 @@ pub fn git_sha() -> String {
 
 /// What produced a snapshot: enough metadata to decide whether two runs
 /// are comparable (same config and seeds) and to trace a result back to a
-/// commit. Embedded in every snapshot and appended to the run registry.
+/// commit. Embedded in every snapshot (and distilled into the ledger).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Run name (the snapshot's file stem).
@@ -1149,8 +1094,8 @@ impl Manifest {
 }
 
 /// One benchmark outcome published by `timing::Harness` (see
-/// [`record_bench`]): the snapshot keeps the raw per-batch samples so
-/// `obs_diff` can put a confidence interval on the median.
+/// [`record_bench`]): the snapshot keeps the raw per-batch samples beside
+/// the median, so a reader can judge its spread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark name.
@@ -1379,9 +1324,8 @@ pub fn validate_run_name(run: &str) -> Result<(), String> {
 }
 
 /// Writes [`snapshot`] (with `run` recorded in its [`Manifest`]) to
-/// `<RF_RESULTS_DIR|results>/obs/<run>.json` and appends the run to the
-/// `<RF_RESULTS_DIR|results>/runs/index.json` registry, returning the
-/// snapshot path.
+/// `<RF_RESULTS_DIR|results>/obs/<run>.json`, returning the snapshot
+/// path.
 ///
 /// # Errors
 ///
@@ -1392,54 +1336,15 @@ pub fn write_snapshot(run: &str) -> std::io::Result<String> {
     validate_run_name(run)
         .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
     let dir = format!("{}/obs", results_dir());
-    std::fs::create_dir_all(&dir).map_err(|e| io_context("creating snapshot dir", e))?;
+    std::fs::create_dir_all(&dir).map_err(|e| io_context(&format!("creating {dir}"), e))?;
     let path = format!("{dir}/{run}.json");
     let doc = snapshot_for_run(run);
     std::fs::write(&path, doc.to_pretty())
         .map_err(|e| io_context(&format!("writing snapshot {path}"), e))?;
-    let manifest = doc.get("manifest").cloned().unwrap_or(Value::Null);
-    append_run_index(manifest, &path)?;
     Ok(path)
 }
 
-/// Appends one run (its manifest plus the snapshot path) to the
-/// `<RF_RESULTS_DIR|results>/runs/index.json` registry, returning the
-/// registry path. The write is atomic (temp file + rename), so a crashed
-/// or concurrent run can never leave the registry unparsable.
-///
-/// # Errors
-///
-/// Propagates directory-creation and file-write failures with context.
-fn append_run_index(manifest: Value, snapshot_path: &str) -> std::io::Result<String> {
-    let _serial = global().index_lock.lock().expect("index lock");
-    let dir = format!("{}/runs", results_dir());
-    std::fs::create_dir_all(&dir).map_err(|e| io_context("creating runs dir", e))?;
-    let path = format!("{dir}/index.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Value::parse(&text).ok())
-        .and_then(|doc| {
-            doc.get("runs")
-                .and_then(Value::as_array)
-                .map(<[Value]>::to_vec)
-        })
-        .unwrap_or_default();
-    runs.push(Value::object([
-        ("manifest", manifest),
-        ("snapshot", Value::from(snapshot_path)),
-    ]));
-    let doc = Value::object([
-        ("schema_version", Value::from(SCHEMA_VERSION)),
-        ("runs", Value::Array(runs)),
-    ]);
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, doc.to_pretty())
-        .map_err(|e| io_context(&format!("writing registry {tmp}"), e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_context(&format!("renaming into {path}"), e))?;
-    Ok(path)
-}
-
-/// Zeroes every metric, discards all buffered events, and clears the
+/// Zeroes every metric, discards all recorded events, and clears the
 /// dropped-event count. Metric handles cached by call sites stay valid
 /// (identities are preserved; only values reset).
 pub fn reset() {
@@ -1461,13 +1366,6 @@ pub fn reset() {
             }
         }
     }
-    let mut buffers = g.buffers.lock().expect("buffer registry");
-    for buf in buffers.iter() {
-        buf.events.lock().expect("thread buffer").clear();
-    }
-    buffers.retain(|b| Arc::strong_count(b) > 1);
-    g.dropped.store(0, Ordering::Relaxed);
-    drop(buffers);
     *g.run_ctx.lock().expect("run context") = RunContext::default();
     g.benches.lock().expect("bench records").clear();
     crate::flight::clear();
@@ -1727,7 +1625,7 @@ mod tests {
     }
 
     #[test]
-    fn write_snapshot_embeds_manifest_and_appends_registry() {
+    fn write_snapshot_embeds_manifest() {
         let _x = exclusive();
         let _dark = Dark;
         reset();
@@ -1737,46 +1635,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let prev = std::env::var("RF_RESULTS_DIR").ok();
         std::env::set_var("RF_RESULTS_DIR", &dir);
-        let restore = |prev: &Option<String>| match prev {
-            Some(v) => std::env::set_var("RF_RESULTS_DIR", v),
-            None => std::env::remove_var("RF_RESULTS_DIR"),
-        };
 
-        counter("test.registry_counter").add(5);
+        counter("test.snapshot_counter").add(5);
         note_run_context(7, 2, 0xDEAD);
-        let path_a = write_snapshot("reg_a").expect("snapshot a");
-        let path_b = write_snapshot("reg_b").expect("snapshot b");
-        let snap = Value::parse(&std::fs::read_to_string(&path_a).expect("readable"))
+        let path = write_snapshot("snap_a").expect("snapshot a");
+        let snap = Value::parse(&std::fs::read_to_string(&path).expect("readable"))
             .expect("snapshot parses");
         let manifest = snap.get("manifest").expect("manifest embedded");
-        assert_eq!(manifest.get("run").and_then(Value::as_str), Some("reg_a"));
+        assert_eq!(manifest.get("run").and_then(Value::as_str), Some("snap_a"));
         assert_eq!(
             manifest.get("wall_clock_ms").and_then(Value::as_f64),
             Some(42.0)
         );
         assert!(snap.get("benches").is_some(), "benches section present");
 
-        let index_path = dir.join("runs/index.json");
-        let index = Value::parse(&std::fs::read_to_string(&index_path).expect("index readable"))
-            .expect("index parses");
-        let runs = index
-            .get("runs")
-            .and_then(Value::as_array)
-            .expect("runs array");
-        assert_eq!(runs.len(), 2, "one entry per instrumented run");
-        assert_eq!(
-            runs[1].get("snapshot").and_then(Value::as_str),
-            Some(path_b.as_str())
-        );
-        assert_eq!(
-            runs[0]
-                .get("manifest")
-                .and_then(|m| m.get("run"))
-                .and_then(Value::as_str),
-            Some("reg_a")
-        );
-
-        restore(&prev);
+        match prev {
+            Some(v) => std::env::set_var("RF_RESULTS_DIR", v),
+            None => std::env::remove_var("RF_RESULTS_DIR"),
+        }
         set_clock_ms(None);
         let _ = std::fs::remove_dir_all(&dir);
     }

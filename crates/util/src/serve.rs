@@ -7,7 +7,7 @@
 //!
 //! | Route       | Payload                                                        |
 //! |-------------|----------------------------------------------------------------|
-//! | `/health`   | JSON liveness: uptime, dropped events, flight wraparound       |
+//! | `/health`   | JSON liveness: uptime and dropped (overwritten) events         |
 //! | `/metrics`  | Prometheus text exposition from [`crate::export::prometheus_text`] |
 //! | `/progress` | The latest document published via [`publish_progress`]         |
 //! | `/flight`   | Flight-recorder snapshot as the merged-trace JSON schema       |
@@ -225,7 +225,6 @@ fn handle_conn(mut stream: TcpStream, quit: &AtomicBool, started: Instant) {
                         Value::from(started.elapsed().as_millis() as u64),
                     ),
                     ("dropped_events", Value::from(obs::dropped_events())),
-                    ("flight_overwritten", Value::from(flight::overwritten())),
                 ]);
                 ("200 OK", "application/json", health.to_pretty())
             }

@@ -246,42 +246,6 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
     )
 }
 
-/// Distribution-free ~95% confidence interval for the **median** of a
-/// sample, via binomial order statistics: the interval between ranks
-/// `n/2 ± z·√n/2` (z = 1.96) covers the true median with ≈95% probability
-/// regardless of the underlying distribution. Used by the bench regression
-/// reporter to decide whether two runs' timing medians are statistically
-/// distinguishable.
-///
-/// Returns `(low, high)`. For very small samples (fewer than ~6
-/// observations) the interval degenerates to `(min, max)`.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or contains a non-finite value.
-///
-/// # Examples
-///
-/// ```
-/// let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-/// let (lo, hi) = relaxfault_util::stats::median_ci(&xs);
-/// assert!(lo <= 50.0 && 50.0 <= hi);
-/// assert!(lo >= 40.0 && hi <= 61.0);
-/// ```
-pub fn median_ci(samples: &[f64]) -> (f64, f64) {
-    assert!(!samples.is_empty(), "median_ci of empty sample");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-    let n = sorted.len();
-    let z = 1.96f64;
-    let half_width = z * (n as f64).sqrt() / 2.0;
-    let lo_rank = (n as f64 / 2.0 - half_width).floor() as i64;
-    let hi_rank = (n as f64 / 2.0 + half_width).ceil() as i64;
-    let lo_idx = lo_rank.clamp(0, n as i64 - 1) as usize;
-    let hi_idx = hi_rank.clamp(0, n as i64 - 1) as usize;
-    (sorted[lo_idx], sorted[hi_idx])
-}
-
 /// Median of a sample (mean of the middle pair for even lengths).
 ///
 /// # Panics
@@ -564,34 +528,6 @@ mod tests {
         assert!(lo1 < 0.5 && 0.5 < hi1);
         assert!(lo2 < 0.5 && 0.5 < hi2);
         assert!(hi2 - lo2 < hi1 - lo1);
-    }
-
-    #[test]
-    fn median_ci_contains_median_and_shrinks() {
-        let small: Vec<f64> = (1..=25).map(f64::from).collect();
-        let large: Vec<f64> = (1..=2500).map(f64::from).collect();
-        let (lo1, hi1) = median_ci(&small);
-        let (lo2, hi2) = median_ci(&large);
-        assert!(lo1 <= 13.0 && 13.0 <= hi1);
-        assert!(lo2 <= 1250.5 && 1250.5 <= hi2);
-        // Relative width shrinks roughly as 1/sqrt(n).
-        assert!((hi2 - lo2) / 1250.0 < (hi1 - lo1) / 13.0);
-    }
-
-    #[test]
-    fn median_ci_small_samples_degenerate_to_range() {
-        assert_eq!(median_ci(&[7.0]), (7.0, 7.0));
-        assert_eq!(median_ci(&[3.0, 1.0]), (1.0, 3.0));
-        let (lo, hi) = median_ci(&[5.0, 1.0, 3.0]);
-        assert_eq!((lo, hi), (1.0, 5.0));
-    }
-
-    #[test]
-    fn median_ci_is_order_independent() {
-        let a = [9.0, 2.0, 7.0, 4.0, 6.0, 1.0, 8.0, 3.0, 5.0, 10.0];
-        let mut b = a;
-        b.reverse();
-        assert_eq!(median_ci(&a), median_ci(&b));
     }
 
     #[test]

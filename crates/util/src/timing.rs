@@ -35,9 +35,8 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Iterations per batch after calibration.
     pub iters: u64,
-    /// Per-batch nanoseconds per iteration, in run order. The regression
-    /// reporter feeds these to [`crate::stats::median_ci`] to decide
-    /// whether two runs' medians are statistically distinguishable.
+    /// Per-batch nanoseconds per iteration, in run order; the obs
+    /// snapshot keeps them beside the median so its spread is visible.
     pub batch_ns: Vec<f64>,
 }
 

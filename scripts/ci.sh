@@ -16,41 +16,23 @@ cargo test --workspace -q
 # Observability gate: re-run the smoke scenario with tracing on; it must
 # emit a metrics snapshot under results/obs/ that parses with the strict
 # in-repo JSON parser and carries the required top-level keys.
-rm -rf results/obs results/runs
+rm -rf results/obs
 RF_TRACE=relsim=debug cargo test -q --test smoke
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 
 # Determinism drift gate: the same pinned-seed scenario twice must produce
-# identical counters (timings may jitter — the generous threshold ignores
-# them; the exact counter comparison is the determinism signal). The
-# obs_diff verdict JSON is kept under results/ci/ as a build artifact.
-# Committed artifacts (the engine_hot pre-PR snapshot and verdict) stay;
-# only the run registry and snapshots are scrubbed.
-rm -rf results/ci/obs results/ci/runs
+# identical counters, gauges, histogram counts and work-histogram sums
+# (`obs_report diff`; span timings may jitter and are not compared).
+# Committed artifacts (the engine_hot pre-PR snapshots and verdicts) stay;
+# the snapshots and the CI ledger are scrubbed, so every gate below sees
+# only this run's history.
+rm -rf results/ci/obs results/ci/history results/ci/baselines
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_a \
     cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_b \
     cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
-cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-    results/ci/obs/drift_a.json results/ci/obs/drift_b.json \
-    --threshold 10 --out results/ci/obs_diff_verdict.json
-
-# Baseline regression gate, active only when a baseline snapshot has been
-# committed. Record one at the same pinned trial count CI replays (counters
-# are deterministic in the seed, so they match across machines; only
-# timings vary):
-#   RF_OBS=on cargo run --release -p relaxfault-bench --bin fig08_hashing -- 4000
-#   mkdir -p results/baselines && cp results/obs/fig08_hashing.json results/baselines/
-# The newest registered run is compared against the committed baseline of
-# the same run name; regressions beyond the CI threshold fail the build.
-if [ -f results/baselines/fig08_hashing.json ]; then
-    RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fig08_hashing \
-        cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
-    mkdir -p results/ci/baselines
-    cp results/baselines/*.json results/ci/baselines/
-    RF_RESULTS_DIR=results/ci cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-        --latest-vs-baseline --threshold 0.5 --out results/ci/obs_diff_baseline_verdict.json
-fi
+cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
+    results/ci/obs/drift_a.json results/ci/obs/drift_b.json
 
 # Disabled-path guard: observability must cost <1% of the Monte Carlo
 # inner loop when off (the bench exits non-zero otherwise).
@@ -90,10 +72,10 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
 # runs to completion once; the same fleet is then killed mid-epoch by the
 # RF_FLEET_CRASH_AT hook (the kill must actually fire), resumed from the
 # surviving checkpoints, and the resumed run's obs snapshot must be a
-# zero-delta obs_diff match of the uninterrupted one — counters are exact,
-# so any divergence fails the build. The checkpoint directory itself must
-# satisfy the strict fleet-checkpoint schema validator (which also rejects
-# mixed schema versions). Verdict JSON is archived under results/ci/.
+# zero-delta `obs_report diff` match of the uninterrupted one — counters
+# are exact, so any divergence fails the build. The checkpoint directory
+# itself must satisfy the strict fleet-checkpoint schema validator (which
+# also rejects mixed schema versions).
 rm -rf results/ci/fleet_ckpt
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fleet_full \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
@@ -107,9 +89,8 @@ fi
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fleet_resumed \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
     --resume --ckpt-dir=results/ci/fleet_ckpt
-cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
+cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
     results/ci/obs/fleet_full.json results/ci/obs/fleet_resumed.json \
-    --threshold 10 --out results/ci/fleet_resume_verdict.json \
     || { echo "fleet gate: resumed run drifted from the full run" >&2; exit 4; }
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/fleet_ckpt \
     || exit 4
@@ -195,25 +176,34 @@ grep -q "relsim" "$folded" \
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
     || { echo "live gate: results/ci/obs failed validation" >&2; exit 5; }
 
-# Engine hot-loop regression gate: replay the per-trial pipeline bench and
-# compare against the committed baseline snapshot. Cargo runs bench
+# The committed baselines join the CI results tree, so the engine_hot and
+# history gates below compare against them.
+mkdir -p results/ci/baselines
+cp results/baselines/*.json results/ci/baselines/
+
+# Engine hot-loop regression gate: replay the per-trial pipeline bench,
+# ledger its snapshot, and check the ledger: the newest engine_hot median
+# must sit within 50% of the committed baseline (`report --check`), and
+# the report must show that a baseline actually matched. Cargo runs bench
 # binaries with the bench crate as cwd, so RF_RESULTS_DIR must be
-# absolute. A regression verdict (obs_diff exit 1) fails the build with
-# exit 2; the verdict JSON is kept under results/ci/ either way.
-if [ -f results/baselines/engine_hot.json ]; then
-    RF_OBS=on RF_RESULTS_DIR="$PWD/results/ci" RF_RUN_NAME=engine_hot \
-        RF_BENCH_BATCH_MS=40 RF_BENCH_BATCHES=5 \
-        cargo bench -q -p relaxfault-bench --bench engine_hot
-    cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-        results/baselines/engine_hot.json results/ci/obs/engine_hot.json \
-        --threshold 0.5 --out results/ci/engine_hot_regression_verdict.json \
-        || exit 2
+# absolute. Any failure exits 2; the check log is kept under results/ci/.
+RF_OBS=on RF_RESULTS_DIR="$PWD/results/ci" RF_RUN_NAME=engine_hot \
+    RF_BENCH_BATCH_MS=40 RF_BENCH_BATCHES=5 \
+    cargo bench -q -p relaxfault-bench --bench engine_hot
+cargo run --release -q -p relaxfault-bench --bin obs_report -- ingest --results results/ci \
+    || exit 2
+if ! cargo run --release -q -p relaxfault-bench --bin obs_report -- report \
+    --results results/ci --check > results/ci/engine_hot_check.log; then
+    cat results/ci/engine_hot_check.log >&2
+    exit 2
 fi
+grep -q "^baseline bench:engine_hot.fig10_mix" results/ci/engine_hot_check.log \
+    || { echo "engine_hot gate: no committed baseline matched the run" >&2; exit 2; }
 
 # Perf-history observatory gate: the CI runs above were ledgered at
-# obs_finish; ingest sweeps in the rest (e.g. the engine_hot bench, which
-# writes its own snapshot), and a second ingest over the unchanged tree
-# must be a byte-level no-op. The ledger must satisfy relcheck's
+# obs_finish or by the engine_hot gate's ingest; ingest sweeps in the
+# rest, and a second ingest over the unchanged tree must be a byte-level
+# no-op. The ledger must satisfy relcheck's
 # structural invariants and the strict obs_validate schema, and a
 # truncated copy must be rejected. On trees with the committed engine_hot
 # baseline, the trend check runs on a scratch copy: extended with a flat
@@ -284,9 +274,9 @@ fi
 # matrix (table3_config -> fig08_hashing -> fig10_coverage) at
 # --scale=0.02: (1) an uninterrupted reference run, (2) a crash at
 # mid:fig08_hashing (must exit 4) followed by --resume (must exit 0,
-# reference-identical tables; obs_diff writes the verdict to
-# results/ci/farm_resume_verdict.json), (3) a --fail-job run (must exit
-# 3) whose archived repro replays cleanly. Any failure exits 8.
+# reference-identical tables and zero-delta `obs_report diff` snapshots),
+# (3) a --fail-job run (must exit 3) whose archived repro replays
+# cleanly. Any failure exits 8.
 rm -rf results/ci/farm_ref results/ci/farm_crash results/ci/farm_fail
 RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
     run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_ref \
@@ -308,14 +298,11 @@ for job in table3_config fig08_hashing fig10_coverage; do
     cmp -s "results/ci/farm_ref/$job.json" "results/ci/farm_crash/$job.json" \
         || { echo "farm gate: resumed $job table drifted from the reference" >&2; exit 8; }
 done
-cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-    results/ci/farm_ref/obs/fig08_hashing.json results/ci/farm_crash/obs/fig08_hashing.json \
-    --threshold 10 \
-    || { echo "farm gate: resumed fig08_hashing metrics drifted" >&2; exit 8; }
-cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-    results/ci/farm_ref/obs/fig10_coverage.json results/ci/farm_crash/obs/fig10_coverage.json \
-    --threshold 10 --out results/ci/farm_resume_verdict.json \
-    || { echo "farm gate: resumed fig10_coverage metrics drifted" >&2; exit 8; }
+for job in fig08_hashing fig10_coverage; do
+    cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
+        "results/ci/farm_ref/obs/$job.json" "results/ci/farm_crash/obs/$job.json" \
+        || { echo "farm gate: resumed $job metrics drifted" >&2; exit 8; }
+done
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/farm_crash/farm \
     || { echo "farm gate: farm ledger failed validation" >&2; exit 8; }
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/farm_crash/farm/jobs \
