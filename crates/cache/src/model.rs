@@ -1,6 +1,7 @@
 //! The runtime cache model: LRU, dirty state, locked repair lines.
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, Indexing};
+use relaxfault_util::bits::mask;
 
 /// Outcome of a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,18 +50,25 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    locked: bool,
-    /// RelaxFault-indicator bit (Figure 4): repair lines live in a separate
-    /// tag space and never match normal lookups.
-    repair: bool,
-    /// Full block address (so victims can be reported by address).
-    block_addr: u64,
-    lru: u64,
-}
+/// Tag-word bit that marks a RelaxFault repair line (the Figure 4
+/// indicator). Normal block addresses never set it.
+const REPAIR: u64 = 1 << 63;
+/// Tag word of an invalid line, and of the placeholder lines the
+/// capacity-loss locks install. Bit 62 is set, which no block address of a
+/// line of at least 4 bytes can reach, so it matches no lookup in either
+/// tag space.
+const NO_TAG: u64 = u64::MAX;
+/// Recency stamp of a valid unlocked line: `tick << 1 | DIRTY`.
+const DIRTY: u32 = 1;
+/// Recency stamp of an invalid line: older than any valid line, so the
+/// first invalid way wins victim choice.
+const INVALID: u32 = 0;
+/// Recency stamp of a locked line: never a victim (so its low bit is never
+/// read as [`DIRTY`]).
+const LOCKED: u32 = u32::MAX;
+/// The last tick handed out before stamps are renormalised; its dirty
+/// stamp stays below [`LOCKED`].
+const MAX_TICK: u32 = (LOCKED >> 1) - 1;
 
 /// A set-associative cache with LRU replacement, way locking, and a
 /// RelaxFault tag space.
@@ -69,6 +77,13 @@ struct Line {
 /// with [`Cache::lock_repair_line`] and looked up with
 /// [`Cache::probe_repair`]. A repair line never hits a normal access and
 /// vice versa — the one-bit tag extension of the paper's Figure 4.
+///
+/// Line state is stored as two arrays in set-major order: a `u64` tag word
+/// (block address, repair bit, or [`NO_TAG`]), so a lookup is one equality
+/// per way, and a `u32` recency stamp holding the LRU tick and the dirty
+/// bit, or marking the line invalid or locked, so victim choice is one
+/// minimum over the set. The set index is computed from shifts, masks and
+/// rotation amounts precomputed at construction.
 ///
 /// # Examples
 ///
@@ -82,9 +97,17 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    ways: usize,
+    offset_bits: u32,
+    set_bits: u32,
+    set_mask: u64,
+    /// XOR-fold rotation of tag chunk `k + 1` (empty for canonical
+    /// indexing).
+    fold_rotations: Vec<u32>,
+    tags: Vec<u64>,
+    stamps: Vec<u32>,
     stats: CacheStats,
-    tick: u64,
+    tick: u32,
 }
 
 impl Cache {
@@ -92,12 +115,34 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CacheConfig::validate`].
+    /// Panics if `cfg` fails [`CacheConfig::validate`], or if its lines are
+    /// narrower than 4 bytes (the tag word needs two spare bits).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid CacheConfig");
+        assert!(cfg.line_bytes >= 4, "lines must be at least 4 bytes");
+        let offset_bits = cfg.offset_bits();
+        let set_bits = cfg.set_bits();
+        let fold_rotations = match cfg.indexing {
+            Indexing::XorFold { rotation } if set_bits > 0 => {
+                // Same arithmetic as `CacheConfig::set_and_tag`, one entry
+                // per set-index-wide chunk of the tag.
+                let chunks = (64 - offset_bits - set_bits).div_ceil(set_bits);
+                (1..=chunks)
+                    .map(|k| rotation.wrapping_mul(k) % set_bits)
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
+        let lines = cfg.total_lines() as usize;
         Self {
             cfg,
-            lines: vec![Line::default(); cfg.total_lines() as usize],
+            ways: cfg.ways as usize,
+            offset_bits,
+            set_bits,
+            set_mask: mask(set_bits),
+            fold_rotations,
+            tags: vec![NO_TAG; lines],
+            stamps: vec![INVALID; lines],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -118,31 +163,94 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn set_slice(&self, set: u64) -> std::ops::Range<usize> {
-        let base = set as usize * self.cfg.ways as usize;
-        base..base + self.cfg.ways as usize
+    /// The block address of `addr` and the index of its set's first line.
+    /// The set equals `CacheConfig::set_and_tag(addr).0`.
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let block = addr >> self.offset_bits;
+        let mut set = block & self.set_mask;
+        let mut rest = block >> self.set_bits;
+        for &by in &self.fold_rotations {
+            if rest == 0 {
+                break;
+            }
+            let chunk = rest & self.set_mask;
+            set ^= ((chunk << by) | (chunk >> (self.set_bits - by))) & self.set_mask;
+            rest >>= self.set_bits;
+        }
+        (block, set as usize * self.ways)
     }
 
-    fn next_tick(&mut self) -> u64 {
+    fn next_tick(&mut self) -> u32 {
+        if self.tick == MAX_TICK {
+            self.renormalise_stamps();
+        }
         self.tick += 1;
         self.tick
+    }
+
+    /// Rewrites the ticks of each set's valid unlocked lines to their
+    /// recency ranks `1..=k`, preserving every set's LRU order and dirty
+    /// bits, and restarts the tick above them.
+    fn renormalise_stamps(&mut self) {
+        let mut order = Vec::with_capacity(self.ways);
+        for set in self.stamps.chunks_exact_mut(self.ways) {
+            order.clear();
+            order.extend((0..set.len()).filter(|&w| set[w] != INVALID && set[w] != LOCKED));
+            order.sort_unstable_by_key(|&w| set[w]);
+            for (rank, &w) in order.iter().enumerate() {
+                set[w] = (rank as u32 + 1) << 1 | (set[w] & DIRTY);
+            }
+        }
+        self.tick = self.ways as u32;
+    }
+
+    /// One pass over the set starting at `base`: `Ok(line)` if it holds
+    /// `tag`, else `Err` with the line to fill — the first invalid unlocked
+    /// way, else the least recently used unlocked way, or `None` when every
+    /// way is locked.
+    fn lookup(&self, base: usize, tag: u64) -> Result<usize, Option<usize>> {
+        let set = base..base + self.ways;
+        let mut victim = base;
+        let mut oldest = LOCKED;
+        let lines = self.tags[set.clone()].iter().zip(&self.stamps[set.clone()]);
+        for (i, (&t, &s)) in set.zip(lines) {
+            if t == tag {
+                return Ok(i);
+            }
+            if s < oldest {
+                oldest = s;
+                victim = i;
+            }
+        }
+        Err((oldest != LOCKED).then_some(victim))
+    }
+
+    /// Reports line `i`'s writeback, if it is dirty, before it is replaced.
+    fn evict(&mut self, i: usize) -> Option<Evicted> {
+        if self.stamps[i] & DIRTY == 0 {
+            return None;
+        }
+        self.stats.writebacks += 1;
+        Some(Evicted {
+            addr: self.tags[i] << self.offset_bits,
+            dirty: true,
+        })
+    }
+
+    fn fill(&mut self, i: usize, tag: u64, stamp: u32) {
+        self.tags[i] = tag;
+        self.stamps[i] = stamp;
     }
 
     /// Demand access to a byte address; allocates on miss (LRU victim among
     /// unlocked ways). Returns hit/miss, any dirty victim, and whether the
     /// access had to bypass a fully locked set.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
-        let (set, _tag) = self.cfg.set_and_tag(addr);
-        let block = addr >> self.cfg.offset_bits();
-        let range = self.set_slice(set);
-        let tick = self.next_tick();
-
-        // Hit path: match on block address with the repair bit clear.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.valid && !line.repair && line.block_addr == block {
-                line.lru = tick;
-                line.dirty |= write;
+        let (block, base) = self.locate(addr);
+        let stamp = self.next_tick() << 1 | write as u32;
+        let victim = match self.lookup(base, block) {
+            Ok(i) => {
+                self.stamps[i] = stamp | (self.stamps[i] & DIRTY);
                 self.stats.hits += 1;
                 return Access {
                     hit: true,
@@ -150,25 +258,9 @@ impl Cache {
                     bypassed: false,
                 };
             }
-        }
+            Err(victim) => victim,
+        };
         self.stats.misses += 1;
-
-        // Victim: invalid first, else LRU among unlocked.
-        let mut victim: Option<usize> = None;
-        for i in range.clone() {
-            let line = &self.lines[i];
-            if line.locked {
-                continue;
-            }
-            if !line.valid {
-                victim = Some(i);
-                break;
-            }
-            match victim {
-                Some(v) if self.lines[v].lru <= line.lru => {}
-                _ => victim = Some(i),
-            }
-        }
         let Some(v) = victim else {
             self.stats.bypasses += 1;
             return Access {
@@ -177,24 +269,8 @@ impl Cache {
                 bypassed: true,
             };
         };
-        let old = self.lines[v];
-        let evicted = if old.valid && old.dirty {
-            self.stats.writebacks += 1;
-            Some(Evicted {
-                addr: old.block_addr << self.cfg.offset_bits(),
-                dirty: true,
-            })
-        } else {
-            None
-        };
-        self.lines[v] = Line {
-            valid: true,
-            dirty: write,
-            locked: false,
-            repair: false,
-            block_addr: block,
-            lru: tick,
-        };
+        let evicted = self.evict(v);
+        self.fill(v, block, stamp);
         Access {
             hit: false,
             evicted,
@@ -204,12 +280,8 @@ impl Cache {
 
     /// Whether a normal block is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, _) = self.cfg.set_and_tag(addr);
-        let block = addr >> self.cfg.offset_bits();
-        self.set_slice(set).any(|i| {
-            let l = &self.lines[i];
-            l.valid && !l.repair && l.block_addr == block
-        })
+        let (block, base) = self.locate(addr);
+        self.lookup(base, block).is_ok()
     }
 
     /// Whether a repair-space line is resident (no state change).
@@ -218,12 +290,8 @@ impl Cache {
     /// `relaxfault-core`'s mapping); it is matched only against lines whose
     /// RelaxFault indicator is set.
     pub fn probe_repair(&self, repair_addr: u64) -> bool {
-        let (set, _) = self.cfg.set_and_tag(repair_addr);
-        let block = repair_addr >> self.cfg.offset_bits();
-        self.set_slice(set).any(|i| {
-            let l = &self.lines[i];
-            l.valid && l.repair && l.block_addr == block
-        })
+        let (block, base) = self.locate(repair_addr);
+        self.lookup(base, block | REPAIR).is_ok()
     }
 
     /// Installs a locked repair line for `repair_addr`, evicting the LRU
@@ -234,49 +302,16 @@ impl Cache {
     /// Fails if every way of the set is already locked, or the line is
     /// already present.
     pub fn lock_repair_line(&mut self, repair_addr: u64) -> Result<Option<Evicted>, String> {
-        if self.probe_repair(repair_addr) {
+        let (block, base) = self.locate(repair_addr);
+        let Err(victim) = self.lookup(base, block | REPAIR) else {
             return Err(format!("repair line {repair_addr:#x} already locked"));
-        }
-        let (set, _) = self.cfg.set_and_tag(repair_addr);
-        let block = repair_addr >> self.cfg.offset_bits();
-        let range = self.set_slice(set);
-        let tick = self.next_tick();
-        let mut victim: Option<usize> = None;
-        for i in range {
-            let line = &self.lines[i];
-            if line.locked {
-                continue;
-            }
-            if !line.valid {
-                victim = Some(i);
-                break;
-            }
-            match victim {
-                Some(v) if self.lines[v].lru <= line.lru => {}
-                _ => victim = Some(i),
-            }
-        }
+        };
+        self.next_tick();
         let Some(v) = victim else {
-            return Err(format!("set {set} fully locked"));
+            return Err(format!("set {} fully locked", base / self.ways));
         };
-        let old = self.lines[v];
-        let evicted = if old.valid && old.dirty {
-            self.stats.writebacks += 1;
-            Some(Evicted {
-                addr: old.block_addr << self.cfg.offset_bits(),
-                dirty: true,
-            })
-        } else {
-            None
-        };
-        self.lines[v] = Line {
-            valid: true,
-            dirty: false,
-            locked: true,
-            repair: true,
-            block_addr: block,
-            lru: tick,
-        };
+        let evicted = self.evict(v);
+        self.fill(v, block | REPAIR, LOCKED);
         Ok(evicted)
     }
 
@@ -289,22 +324,14 @@ impl Cache {
     /// Panics if `n > ways`.
     pub fn lock_ways_per_set(&mut self, n: u32) {
         assert!(n <= self.cfg.ways, "cannot lock more ways than exist");
-        let sets = self.cfg.sets();
-        for set in 0..sets {
+        for base in (0..self.stamps.len()).step_by(self.ways) {
             let mut locked = 0;
-            for i in self.set_slice(set) {
+            for i in base..base + self.ways {
                 if locked >= n {
                     break;
                 }
-                if !self.lines[i].locked {
-                    self.lines[i] = Line {
-                        valid: true,
-                        dirty: false,
-                        locked: true,
-                        repair: true,
-                        block_addr: u64::MAX - i as u64, // placeholder tag
-                        lru: 0,
-                    };
+                if self.stamps[i] != LOCKED {
+                    self.fill(i, NO_TAG, LOCKED);
                     locked += 1;
                 }
             }
@@ -320,17 +347,10 @@ impl Cache {
     pub fn lock_lines_in_sets<I: IntoIterator<Item = u64>>(&mut self, sets: I) -> u64 {
         let mut locked = 0;
         for set in sets {
-            let set = set % self.cfg.sets();
-            let slot = self.set_slice(set).find(|&i| !self.lines[i].locked);
+            let base = (set & self.set_mask) as usize * self.ways;
+            let slot = (base..base + self.ways).find(|&i| self.stamps[i] != LOCKED);
             if let Some(i) = slot {
-                self.lines[i] = Line {
-                    valid: true,
-                    dirty: false,
-                    locked: true,
-                    repair: true,
-                    block_addr: u64::MAX - i as u64,
-                    lru: 0,
-                };
+                self.fill(i, NO_TAG, LOCKED);
                 locked += 1;
             }
         }
@@ -339,21 +359,23 @@ impl Cache {
 
     /// Number of locked ways in `set`.
     pub fn locked_ways_in_set(&self, set: u64) -> u32 {
-        self.set_slice(set)
-            .filter(|&i| self.lines[i].locked)
+        let base = set as usize * self.ways;
+        self.stamps[base..base + self.ways]
+            .iter()
+            .filter(|&&s| s == LOCKED)
             .count() as u32
     }
 
     /// Total locked lines in the cache.
     pub fn total_locked(&self) -> u64 {
-        self.lines.iter().filter(|l| l.locked).count() as u64
+        self.stamps.iter().filter(|&&s| s == LOCKED).count() as u64
     }
 
     /// Unlocks and invalidates every locked line (repair teardown).
     pub fn unlock_all(&mut self) {
-        for line in &mut self.lines {
-            if line.locked {
-                *line = Line::default();
+        for i in 0..self.stamps.len() {
+            if self.stamps[i] == LOCKED {
+                self.fill(i, NO_TAG, INVALID);
             }
         }
     }
@@ -362,7 +384,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Indexing;
 
     fn small() -> Cache {
         Cache::new(CacheConfig {
@@ -514,7 +535,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::config::Indexing;
     use relaxfault_util::prop;
     use relaxfault_util::{prop_assert, prop_assert_eq};
 
@@ -575,6 +595,100 @@ mod proptests {
             for &a in &addrs {
                 prop_assert!(c.probe(a));
             }
+            Ok(())
+        });
+    }
+
+    /// The precomputed set index equals `CacheConfig::set_and_tag` for
+    /// every address, across geometries, line sizes and fold rotations.
+    #[test]
+    fn precomputed_set_index_matches_config() {
+        prop::check(512, |src| {
+            let set_bits = src.u32(0, 14);
+            let ways = 1u32 << src.u32(0, 4);
+            let line_bytes = 1u32 << src.u32(2, 8);
+            let indexing = if set_bits > 0 && src.bool() {
+                Indexing::XorFold {
+                    rotation: src.u32(0, 40),
+                }
+            } else {
+                Indexing::Canonical
+            };
+            let cfg = CacheConfig {
+                size_bytes: (1u64 << set_bits) * ways as u64 * line_bytes as u64,
+                ways,
+                line_bytes,
+                indexing,
+            };
+            let c = Cache::new(cfg);
+            for _ in 0..16 {
+                let addr = src.u64(0, u64::MAX);
+                let (block, base) = c.locate(addr);
+                prop_assert_eq!(block, addr >> cfg.offset_bits());
+                prop_assert_eq!(
+                    base as u64,
+                    cfg.set_of(addr) * ways as u64,
+                    "{cfg:?} {addr:#x}"
+                );
+            }
+            Ok(())
+        });
+    }
+
+    /// Recency stamps are 32-bit and renormalise when the tick runs out.
+    /// A cache started just short of the wrap must behave exactly like one
+    /// started from zero through the wrap, with invalid, locked and repair
+    /// lines present when it happens.
+    #[test]
+    fn recency_wrap_preserves_lru_order() {
+        prop::check(64, |src| {
+            let cfg = CacheConfig {
+                size_bytes: 8 * 4 * 64,
+                ways: 4,
+                line_bytes: 64,
+                indexing: Indexing::XorFold { rotation: 1 },
+            };
+            let mut fresh = Cache::new(cfg);
+            let mut wrapping = Cache::new(cfg);
+            let headroom = src.u32(0, 200);
+            wrapping.tick = MAX_TICK - headroom;
+            let pool: Vec<u64> = (0..20).map(|k| k * 8 * 64).collect();
+            let mixed = src.usize(0, 300);
+            // A mixed sequence, then enough accesses to force the wrap if
+            // the mixed part did not.
+            for step in 0..mixed + headroom as usize + 1 {
+                let a = pool[src.choice_index(pool.len())];
+                let op = if step < mixed {
+                    src.weighted(&[20, 2, 1, 1])
+                } else {
+                    0
+                };
+                match op {
+                    0 => {
+                        let w = src.bool();
+                        prop_assert_eq!(fresh.access(a, w), wrapping.access(a, w));
+                    }
+                    1 => prop_assert_eq!(fresh.lock_repair_line(a), wrapping.lock_repair_line(a)),
+                    2 => {
+                        let set = src.u64(0, 7);
+                        fresh.lock_lines_in_sets([set]);
+                        wrapping.lock_lines_in_sets([set]);
+                    }
+                    _ => {
+                        fresh.unlock_all();
+                        wrapping.unlock_all();
+                    }
+                }
+                for &p in &pool {
+                    prop_assert_eq!(fresh.probe(p), wrapping.probe(p));
+                    prop_assert_eq!(fresh.probe_repair(p), wrapping.probe_repair(p));
+                }
+            }
+            prop_assert!(
+                wrapping.tick < MAX_TICK - headroom,
+                "the tick must have wrapped"
+            );
+            prop_assert_eq!(fresh.stats(), wrapping.stats());
             Ok(())
         });
     }

@@ -15,7 +15,7 @@
 //!   This is what makes a single-device fault *spread* across a line, and
 //!   what the RelaxFault coalescer reverses.
 //! * [`timing`] — DDR3 bank-level command timing (tRCD/tRP/tCL/tRAS/tFAW/...)
-//!   used by the performance simulator's FR-FCFS controller.
+//!   used by the performance simulator's FCFS open-page controller.
 //! * [`power`] — per-operation DRAM energy accounting in the style of
 //!   Micron TN-41-01, used for the paper's Figure 16.
 //!

@@ -1,6 +1,7 @@
 //! DDR3 bank-level command timing for the performance simulator.
 //!
-//! Models the constraints an FR-FCFS memory controller must respect:
+//! Models the constraints any DDR3 memory controller must respect (the
+//! performance simulator's is FCFS with an open-page policy):
 //! per-bank tRCD/tRP/tCL/tRAS/tWR/tRTP, per-rank tRRD and the four-activate
 //! window tFAW, and the data-bus occupancy of each burst. Time is counted in
 //! memory-controller clock cycles (one cycle = one DRAM command slot).

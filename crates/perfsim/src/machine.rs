@@ -41,6 +41,7 @@ struct Channel {
 struct MemoryBackend {
     map: AddressMap,
     channels: Vec<Channel>,
+    ranks_per_dimm: usize,
     core_per_dram: u64,
     t_refi: u64,
 }
@@ -60,6 +61,7 @@ impl MemoryBackend {
         Self {
             map: AddressMap::nehalem_like(&cfg.dram, true),
             channels,
+            ranks_per_dimm: cfg.dram.ranks_per_dimm as usize,
             core_per_dram: cfg.core_cycles_per_dram_cycle(),
             t_refi: cfg.timing.t_refi as u64,
         }
@@ -71,7 +73,7 @@ impl MemoryBackend {
     fn access(&mut self, addr: u64, is_write: bool, now_core: u64) -> u64 {
         let (loc, _) = self.map.decode(PhysAddr(addr));
         let ch = &mut self.channels[loc.channel as usize];
-        let rank_idx = (loc.dimm + loc.rank) as usize % ch.ranks.len();
+        let rank_idx = loc.dimm as usize * self.ranks_per_dimm + loc.rank as usize;
         let now = now_core / self.core_per_dram;
         // Account elapsed auto-refreshes for this rank (energy and bank
         // occupancy are folded into the refresh count; the coarse model is
@@ -491,6 +493,106 @@ mod tests {
             lines.throughput_ipc() > ways.throughput_ipc(),
             "32 KiB of scattered lines must cost less than 8 whole ways"
         );
+    }
+
+    /// Every `SimResult` field of the Table 4 catalog × the Figure 15
+    /// capacity losses, folded into one FNV-1a digest. The LLC is shrunk to
+    /// 256 KiB so that a short run already exercises LLC victim choice and
+    /// dirty writebacks. The expected value was recorded with the
+    /// array-of-structs cache model (now `relcheck`'s `NaiveCache`), so any
+    /// change to what the simulator computes shows up here.
+    #[test]
+    fn golden_result_digest() {
+        use relaxfault_cache::{CacheConfig, Indexing};
+        let cfg = SimConfig {
+            llc: CacheConfig {
+                size_bytes: 256 << 10,
+                ways: 16,
+                line_bytes: 64,
+                indexing: Indexing::XorFold { rotation: 5 },
+            },
+            instructions_per_core: 10_000,
+            ..SimConfig::isca16()
+        };
+        let losses = [
+            CapacityLoss::None,
+            CapacityLoss::RandomLines { bytes: 100 << 10 },
+            CapacityLoss::Ways(1),
+            CapacityLoss::Ways(4),
+        ];
+        let mut bytes = Vec::new();
+        let mut writebacks = 0;
+        for w in catalog::all() {
+            for loss in losses {
+                let r = Simulation::run(&cfg, &w, loss, 2016);
+                for c in &r.per_core {
+                    bytes.extend_from_slice(c.name.as_bytes());
+                    bytes.extend_from_slice(&c.instructions.to_le_bytes());
+                    bytes.extend_from_slice(&c.cycles.to_bits().to_le_bytes());
+                    bytes.extend_from_slice(&c.ipc.to_bits().to_le_bytes());
+                }
+                let o = r.op_counts;
+                let s = r.llc_stats;
+                for v in [
+                    o.activates,
+                    o.precharges,
+                    o.reads,
+                    o.writes,
+                    o.refreshes,
+                    r.elapsed_cycles.to_bits(),
+                    r.core_mhz as u64,
+                    s.hits,
+                    s.misses,
+                    s.bypasses,
+                    s.writebacks,
+                ] {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+                writebacks += s.writebacks;
+            }
+        }
+        assert!(writebacks > 0, "the digest must cover LLC writebacks");
+        assert_eq!(
+            obs::fnv1a(&bytes),
+            4_910_901_862_742_782_864,
+            "perfsim results changed"
+        );
+    }
+
+    /// With several ranks per DIMM, every (DIMM, rank) pair of a channel
+    /// drives its own bank timing.
+    #[test]
+    fn each_rank_has_its_own_timing() {
+        use relaxfault_dram::{DramConfig, DramLoc};
+        let cfg = SimConfig {
+            dram: DramConfig {
+                dimms_per_channel: 2,
+                ranks_per_dimm: 2,
+                ..DramConfig::isca16_performance()
+            },
+            ..SimConfig::isca16()
+        };
+        let mut backend = MemoryBackend::new(&cfg);
+        let pairs = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        for (i, &(dimm, rank)) in pairs.iter().enumerate() {
+            let loc = DramLoc {
+                channel: 0,
+                dimm,
+                rank,
+                bank: 3,
+                row: 10 + i as u32,
+                colblock: 0,
+            };
+            let addr = backend.map.encode(loc, 0).0;
+            backend.access(addr, false, 0);
+        }
+        let ranks = &backend.channels[0].ranks;
+        assert_eq!(ranks.len(), pairs.len());
+        for (i, rank) in ranks.iter().enumerate() {
+            assert_eq!(rank.open_row(3), Some(10 + i as u32), "rank timer {i}");
+        }
+        assert_eq!(backend.total_counts().activates, 4);
+        assert_eq!(backend.total_counts().precharges, 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Corner-biased generators for scenarios and fault mixes.
+//! Corner-biased generators for scenarios, fault mixes and cache
+//! operation sequences.
 //!
 //! Uniform random extents almost never produce the fault shapes that
 //! stress the repair planners: field studies of DDR4 DRAM report that a
@@ -8,6 +9,7 @@
 //! those corners while still covering the simple shapes, so a thousand
 //! generated cases reach states a million uniform ones would miss.
 
+use relaxfault_cache::{CacheConfig, Indexing};
 use relaxfault_dram::{DramConfig, RankId};
 use relaxfault_faults::{BankSet, Extent, FaultRegion};
 use relaxfault_util::prop::Source;
@@ -112,6 +114,102 @@ pub fn arb_offer_sequence(src: &mut Source, cfg: &DramConfig) -> Vec<Vec<FaultRe
 /// rollback far more often than the full 16-way budget).
 pub fn arb_max_ways(src: &mut Source) -> u32 {
     [1, 2, 4, 16][src.weighted(&[5, 3, 2, 1])]
+}
+
+/// One step of a cache-model differential run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CacheOp {
+    /// `Cache::access(addr, write)`.
+    Access(u64, bool),
+    /// `Cache::lock_repair_line(addr)`.
+    LockRepair(u64),
+    /// `Cache::lock_ways_per_set(n)`.
+    LockWays(u32),
+    /// `Cache::lock_lines_in_sets(sets)`.
+    LockLines(Vec<u64>),
+    /// `Cache::unlock_all()`.
+    UnlockAll,
+    /// `Cache::reset_stats()`.
+    ResetStats,
+}
+
+/// A cache geometry biased toward the corners of the runtime model: tiny
+/// sets that conflict constantly, direct-mapped and fully associative
+/// shapes, the smallest supported line (whose block addresses reach the
+/// top tag bits), and the paper's L1 and LLC, hashed and canonical.
+pub fn arb_cache_config(src: &mut Source) -> CacheConfig {
+    let xor = |src: &mut Source| Indexing::XorFold {
+        rotation: src.u32(0, 16),
+    };
+    let small = |sets: u64, ways: u32, line_bytes: u32, indexing| CacheConfig {
+        size_bytes: sets * ways as u64 * line_bytes as u64,
+        ways,
+        line_bytes,
+        indexing,
+    };
+    match src.weighted(&[3, 3, 1, 1, 1, 1, 1, 1]) {
+        0 => small(16, 4, 64, Indexing::Canonical),
+        1 => small(16, 4, 64, xor(src)),
+        2 => {
+            let indexing = if src.bool() {
+                xor(src)
+            } else {
+                Indexing::Canonical
+            };
+            small(8, 1, 64, indexing)
+        }
+        3 => small(1, 8, 64, Indexing::Canonical),
+        4 => small(32, 2, 4, xor(src)),
+        5 => CacheConfig::isca16_l1(),
+        6 => CacheConfig::isca16_llc(),
+        _ => CacheConfig::isca16_llc_no_hash(),
+    }
+}
+
+/// A byte address that `cfg` maps to `set`, with a corner-biased tag:
+/// small, mid-range, or at the very top of the address space.
+pub fn arb_address_in_set(src: &mut Source, cfg: &CacheConfig, set: u64) -> u64 {
+    let (off, sb) = (cfg.offset_bits(), cfg.set_bits());
+    let max_tag = u64::MAX >> (off + sb);
+    let tag = match src.weighted(&[4, 2, 1]) {
+        0 => src.u64(0, 15.min(max_tag)),
+        1 => src.u64(0, (1 << 20).min(max_tag)),
+        _ => max_tag - src.u64(0, 15.min(max_tag)),
+    };
+    // With a zero index field the set is the tag's fold alone, so XORing
+    // it back into the index lands the block in `set` under any indexing.
+    let index = set ^ cfg.set_of(tag << (off + sb));
+    (((tag << sb) | index) << off) | src.u64(0, cfg.line_bytes as u64 - 1)
+}
+
+/// A differential run for one cache: a pool of addresses crowded into a
+/// few target sets (so lookups hit, ways fill and victims are chosen),
+/// and an operation sequence drawing mostly on that pool.
+pub fn arb_cache_ops(src: &mut Source, cfg: &CacheConfig) -> (Vec<u64>, Vec<CacheOp>) {
+    let sets = cfg.sets();
+    let targets = src.vec(1, 3, |s| s.u64(0, sets - 1));
+    let pool = src.vec(1, 2 * cfg.ways as usize + 2, |s| {
+        let set = targets[s.choice_index(targets.len())];
+        arb_address_in_set(s, cfg, set)
+    });
+    let pick = |s: &mut Source| match s.weighted(&[8, 1]) {
+        0 => pool[s.choice_index(pool.len())],
+        _ => s.u64(0, u64::MAX),
+    };
+    let ops = src.vec(1, 120, |s| match s.weighted(&[24, 5, 1, 2, 1, 1]) {
+        0 => CacheOp::Access(pick(s), s.bool()),
+        1 => CacheOp::LockRepair(pick(s)),
+        2 => CacheOp::LockWays(s.u32(0, cfg.ways)),
+        3 => CacheOp::LockLines(
+            s.vec(0, 2 * cfg.ways as usize, |s2| match s2.weighted(&[3, 1]) {
+                0 => targets[s2.choice_index(targets.len())],
+                _ => s2.u64(0, 2 * sets),
+            }),
+        ),
+        4 => CacheOp::UnlockAll,
+        _ => CacheOp::ResetStats,
+    });
+    (pool, ops)
 }
 
 #[cfg(test)]

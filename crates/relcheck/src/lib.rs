@@ -9,7 +9,8 @@
 //!
 //! * [`oracle`] — naive re-implementations of every optimised path
 //!   (direct encoding, ordered maps, two-pass check-then-commit,
-//!   allocate-everything evaluation, a single-threaded engine), asserted
+//!   allocate-everything evaluation, a single-threaded engine, an
+//!   array-of-structs cache model), asserted
 //!   bit-identical to production under corner-biased generated workloads;
 //! * [`gen`] — `util::prop` generators biased toward the DDR4 field-study
 //!   corner regions (multi-row clusters, pin/column faults, whole-bank

@@ -7,6 +7,9 @@
 //!
 //! * candidate enumeration — direct per-line [`RelaxMap`] /
 //!   [`AddressMap`] encoding, no XOR-delta tables;
+//! * the runtime cache model — an array of line structs with 64-bit LRU
+//!   ticks and the set index recomputed per call, instead of packed tag,
+//!   stamp and dirty arrays with a precomputed index;
 //! * LLC occupancy — `BTreeMap`/`BTreeSet` with a two-pass
 //!   check-then-commit, no rollback needed, instead of the one-pass
 //!   insert-and-roll-back hash path;
@@ -20,7 +23,7 @@
 //! state after every offer.
 
 use crate::gen;
-use relaxfault_cache::CacheConfig;
+use relaxfault_cache::{Access, Cache, CacheConfig, CacheStats, Evicted};
 use relaxfault_core::mapping::{RelaxMap, RepairLine};
 use relaxfault_core::plan::{FreeFault, Ppr, RelaxFault, RepairMechanism};
 use relaxfault_dram::{AddressMap, DramConfig, DramLoc};
@@ -127,6 +130,243 @@ impl NaiveOccupancy {
     /// Sorted locked keys.
     pub fn line_keys(&self) -> Vec<u64> {
         self.lines.iter().copied().collect()
+    }
+}
+
+// --- naive cache model ---
+
+#[derive(Debug, Clone, Copy, Default)]
+struct NaiveLine {
+    valid: bool,
+    dirty: bool,
+    locked: bool,
+    repair: bool,
+    block_addr: u64,
+    lru: u64,
+}
+
+/// Reference cache: an array of line structs, full block addresses, a
+/// 64-bit LRU tick that never wraps, and the set index recomputed by
+/// [`CacheConfig::set_and_tag`] on every call. Mirrors [`Cache`]'s public
+/// API so the two can be driven in lockstep.
+#[derive(Debug)]
+pub struct NaiveCache {
+    cfg: CacheConfig,
+    lines: Vec<NaiveLine>,
+    stats: CacheStats,
+    tick: u64,
+}
+
+impl NaiveCache {
+    /// Mirrors `Cache::new`.
+    pub fn new(cfg: CacheConfig) -> Self {
+        cfg.validate().expect("invalid CacheConfig");
+        Self {
+            cfg,
+            lines: vec![NaiveLine::default(); cfg.total_lines() as usize],
+            stats: CacheStats::default(),
+            tick: 0,
+        }
+    }
+
+    /// Mirrors `Cache::stats`.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Mirrors `Cache::reset_stats`.
+    pub fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+
+    fn set_slice(&self, set: u64) -> std::ops::Range<usize> {
+        let base = set as usize * self.cfg.ways as usize;
+        base..base + self.cfg.ways as usize
+    }
+
+    fn block_and_set(&self, addr: u64) -> (u64, u64) {
+        (addr >> self.cfg.offset_bits(), self.cfg.set_and_tag(addr).0)
+    }
+
+    /// Invalid unlocked way first, else the least recently used unlocked
+    /// way; `None` when every way is locked.
+    fn victim(&self, set: u64) -> Option<usize> {
+        let mut victim: Option<usize> = None;
+        for i in self.set_slice(set) {
+            let line = &self.lines[i];
+            if line.locked {
+                continue;
+            }
+            if !line.valid {
+                return Some(i);
+            }
+            match victim {
+                Some(v) if self.lines[v].lru <= line.lru => {}
+                _ => victim = Some(i),
+            }
+        }
+        victim
+    }
+
+    fn evict(&mut self, i: usize) -> Option<Evicted> {
+        let old = self.lines[i];
+        if !(old.valid && old.dirty) {
+            return None;
+        }
+        self.stats.writebacks += 1;
+        Some(Evicted {
+            addr: old.block_addr << self.cfg.offset_bits(),
+            dirty: true,
+        })
+    }
+
+    /// Mirrors `Cache::access`.
+    pub fn access(&mut self, addr: u64, write: bool) -> Access {
+        let (block, set) = self.block_and_set(addr);
+        self.tick += 1;
+        let tick = self.tick;
+        for i in self.set_slice(set) {
+            let line = &mut self.lines[i];
+            if line.valid && !line.repair && line.block_addr == block {
+                line.lru = tick;
+                line.dirty |= write;
+                self.stats.hits += 1;
+                return Access {
+                    hit: true,
+                    evicted: None,
+                    bypassed: false,
+                };
+            }
+        }
+        self.stats.misses += 1;
+        let Some(v) = self.victim(set) else {
+            self.stats.bypasses += 1;
+            return Access {
+                hit: false,
+                evicted: None,
+                bypassed: true,
+            };
+        };
+        let evicted = self.evict(v);
+        self.lines[v] = NaiveLine {
+            valid: true,
+            dirty: write,
+            locked: false,
+            repair: false,
+            block_addr: block,
+            lru: tick,
+        };
+        Access {
+            hit: false,
+            evicted,
+            bypassed: false,
+        }
+    }
+
+    /// Mirrors `Cache::probe`.
+    pub fn probe(&self, addr: u64) -> bool {
+        let (block, set) = self.block_and_set(addr);
+        self.set_slice(set).any(|i| {
+            let l = &self.lines[i];
+            l.valid && !l.repair && l.block_addr == block
+        })
+    }
+
+    /// Mirrors `Cache::probe_repair`.
+    pub fn probe_repair(&self, repair_addr: u64) -> bool {
+        let (block, set) = self.block_and_set(repair_addr);
+        self.set_slice(set).any(|i| {
+            let l = &self.lines[i];
+            l.valid && l.repair && l.block_addr == block
+        })
+    }
+
+    /// Mirrors `Cache::lock_repair_line`.
+    ///
+    /// # Errors
+    ///
+    /// Fails exactly when `Cache::lock_repair_line` does.
+    pub fn lock_repair_line(&mut self, repair_addr: u64) -> Result<Option<Evicted>, String> {
+        if self.probe_repair(repair_addr) {
+            return Err(format!("repair line {repair_addr:#x} already locked"));
+        }
+        let (block, set) = self.block_and_set(repair_addr);
+        self.tick += 1;
+        let Some(v) = self.victim(set) else {
+            return Err(format!("set {set} fully locked"));
+        };
+        let evicted = self.evict(v);
+        self.lines[v] = NaiveLine {
+            valid: true,
+            dirty: false,
+            locked: true,
+            repair: true,
+            block_addr: block,
+            lru: self.tick,
+        };
+        Ok(evicted)
+    }
+
+    fn lock_placeholder(&mut self, i: usize) {
+        self.lines[i] = NaiveLine {
+            valid: true,
+            dirty: false,
+            locked: true,
+            repair: true,
+            block_addr: u64::MAX - i as u64,
+            lru: 0,
+        };
+    }
+
+    /// Mirrors `Cache::lock_ways_per_set`.
+    pub fn lock_ways_per_set(&mut self, n: u32) {
+        assert!(n <= self.cfg.ways, "cannot lock more ways than exist");
+        for set in 0..self.cfg.sets() {
+            let mut locked = 0;
+            for i in self.set_slice(set) {
+                if locked >= n {
+                    break;
+                }
+                if !self.lines[i].locked {
+                    self.lock_placeholder(i);
+                    locked += 1;
+                }
+            }
+        }
+    }
+
+    /// Mirrors `Cache::lock_lines_in_sets`.
+    pub fn lock_lines_in_sets<I: IntoIterator<Item = u64>>(&mut self, sets: I) -> u64 {
+        let mut locked = 0;
+        for set in sets {
+            let set = set % self.cfg.sets();
+            if let Some(i) = self.set_slice(set).find(|&i| !self.lines[i].locked) {
+                self.lock_placeholder(i);
+                locked += 1;
+            }
+        }
+        locked
+    }
+
+    /// Mirrors `Cache::locked_ways_in_set`.
+    pub fn locked_ways_in_set(&self, set: u64) -> u32 {
+        self.set_slice(set)
+            .filter(|&i| self.lines[i].locked)
+            .count() as u32
+    }
+
+    /// Mirrors `Cache::total_locked`.
+    pub fn total_locked(&self) -> u64 {
+        self.lines.iter().filter(|l| l.locked).count() as u64
+    }
+
+    /// Mirrors `Cache::unlock_all`.
+    pub fn unlock_all(&mut self) {
+        for line in &mut self.lines {
+            if line.locked {
+                *line = NaiveLine::default();
+            }
+        }
     }
 }
 
@@ -887,6 +1127,71 @@ pub fn lanes_oracle_property(src: &mut Source) -> PropResult {
     Ok(())
 }
 
+/// Cache-model differential: the packed production [`Cache`] and the
+/// array-of-structs [`NaiveCache`] driven in lockstep through a generated
+/// operation sequence. Every result, the statistics, residency of every
+/// pool address in both tag spaces, and the lock counts of the target sets
+/// must agree after every step; the whole-cache lock count after every
+/// step that can change it.
+pub fn cache_oracle_property(src: &mut Source) -> PropResult {
+    let cfg = gen::arb_cache_config(src);
+    let (pool, ops) = gen::arb_cache_ops(src, &cfg);
+    let mut prod = Cache::new(cfg);
+    let mut naive = NaiveCache::new(cfg);
+    for op in &ops {
+        match *op {
+            gen::CacheOp::Access(addr, write) => {
+                let (a, b) = (prod.access(addr, write), naive.access(addr, write));
+                prop_assert_eq!(a, b, "access diverged at {op:?}");
+            }
+            gen::CacheOp::LockRepair(addr) => {
+                let (a, b) = (prod.lock_repair_line(addr), naive.lock_repair_line(addr));
+                prop_assert_eq!(a, b, "lock_repair_line diverged at {op:?}");
+            }
+            gen::CacheOp::LockWays(n) => {
+                prod.lock_ways_per_set(n);
+                naive.lock_ways_per_set(n);
+            }
+            gen::CacheOp::LockLines(ref sets) => {
+                let a = prod.lock_lines_in_sets(sets.iter().copied());
+                let b = naive.lock_lines_in_sets(sets.iter().copied());
+                prop_assert_eq!(a, b, "lock_lines_in_sets diverged at {op:?}");
+            }
+            gen::CacheOp::UnlockAll => {
+                prod.unlock_all();
+                naive.unlock_all();
+            }
+            gen::CacheOp::ResetStats => {
+                prod.reset_stats();
+                naive.reset_stats();
+            }
+        }
+        prop_assert_eq!(prod.stats(), naive.stats(), "stats diverged after {op:?}");
+        for &addr in &pool {
+            prop_assert_eq!(
+                prod.probe(addr),
+                naive.probe(addr),
+                "probe {addr:#x} after {op:?}"
+            );
+            prop_assert_eq!(
+                prod.probe_repair(addr),
+                naive.probe_repair(addr),
+                "probe_repair {addr:#x} after {op:?}"
+            );
+            let set = cfg.set_of(addr);
+            prop_assert_eq!(
+                prod.locked_ways_in_set(set),
+                naive.locked_ways_in_set(set),
+                "locked ways of set {set} after {op:?}"
+            );
+        }
+        if !matches!(op, gen::CacheOp::Access(..) | gen::CacheOp::ResetStats) {
+            prop_assert_eq!(prod.total_locked(), naive.total_locked(), "after {op:?}");
+        }
+    }
+    Ok(())
+}
+
 /// A named differential property: the replay dispatch key and the
 /// property function it resolves to.
 pub type PropCase = (&'static str, fn(&mut Source) -> PropResult);
@@ -900,6 +1205,7 @@ pub const PROP_CASES: &[PropCase] = &[
     ("eval_oracle", eval_oracle_property),
     ("engine_oracle", engine_oracle_property),
     ("lanes", lanes_oracle_property),
+    ("cache_oracle", cache_oracle_property),
 ];
 
 /// Runs a named property `cases` times; on failure, persists the shrunk

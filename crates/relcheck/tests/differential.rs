@@ -4,8 +4,8 @@
 
 use relaxfault_cache::{CacheConfig, Indexing};
 use relaxfault_relcheck::oracle::{
-    self, check_with_repro, engine_oracle_property, eval_oracle_property, free_oracle_property,
-    ppr_oracle_property, relax_oracle_property, NaiveOccupancy,
+    self, cache_oracle_property, check_with_repro, engine_oracle_property, eval_oracle_property,
+    free_oracle_property, ppr_oracle_property, relax_oracle_property, NaiveOccupancy,
 };
 use relaxfault_util::prop::{self, Source};
 use relaxfault_util::{prop_assert, prop_assert_eq};
@@ -42,6 +42,14 @@ fn trial_evaluation_matches_allocating_reference() {
 #[test]
 fn engine_matches_single_threaded_reference() {
     check_with_repro("engine_oracle", 20, engine_oracle_property);
+}
+
+/// Packed runtime cache vs the array-of-structs reference: 1000 generated
+/// operation sequences over corner geometries, canonical and XOR-folded,
+/// every observable bit-identical after every step.
+#[test]
+fn cache_model_matches_naive_reference() {
+    check_with_repro("cache_oracle", 1000, cache_oracle_property);
 }
 
 /// A deliberately broken occupancy tracker: the production one-pass
