@@ -144,6 +144,9 @@ impl CacheConfig {
         let index = block & mask(sb);
         let tag = block >> sb;
         let set = match self.indexing {
+            // One set: there is no index to fold into (and shifting the
+            // tag by a zero-width field would never exhaust it).
+            Indexing::XorFold { .. } if sb == 0 => 0,
             Indexing::Canonical => index,
             Indexing::XorFold { rotation } => {
                 let mut set = index;
@@ -266,6 +269,21 @@ mod tests {
             prop_assert_eq!(block_a == block_b, sa == sb);
             Ok(())
         });
+    }
+
+    #[test]
+    fn single_set_xor_fold_maps_everything_to_set_zero() {
+        let c = CacheConfig {
+            size_bytes: 8 * 64,
+            ways: 8,
+            line_bytes: 64,
+            indexing: Indexing::XorFold { rotation: 3 },
+        };
+        c.validate().unwrap();
+        assert_eq!(c.set_bits(), 0);
+        for addr in [0, 64, 0xDEAD_BEEF, u64::MAX] {
+            assert_eq!(c.set_and_tag(addr), (0, addr >> 6));
+        }
     }
 
     #[test]

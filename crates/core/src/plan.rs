@@ -11,7 +11,7 @@
 use crate::mapping::{RelaxMap, RepairLine};
 use relaxfault_cache::CacheConfig;
 use relaxfault_dram::{AddressMap, DramConfig, DramLoc, RankId};
-use relaxfault_faults::{Extent, FaultRegion};
+use relaxfault_faults::{BankSet, Extent, FaultRegion};
 use relaxfault_util::hash::{FxHashMap, FxHashSet};
 use relaxfault_util::obs::{self, Counter, Histogram, Level};
 use relaxfault_util::trace_event;
@@ -92,18 +92,13 @@ fn ppr_metrics() -> &'static PlanMetrics {
 /// `PlanScratch` works with any planner.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
-    /// Materialized candidate planes, struct-of-arrays: `cand_sets[i]` /
-    /// `cand_keys[i]` describe candidate `i`. The production path streams
-    /// candidates straight into the occupancy without materializing them;
-    /// these planes exist for the enumeration-pinning tests.
-    #[cfg(test)]
-    cand_sets: Vec<u32>,
-    #[cfg(test)]
-    cand_keys: Vec<u64>,
     /// `(flat rank, device, bank, row)` rows for the PPR planner.
     rows: Vec<(u32, u32, u32, u32)>,
-    /// Per-set fresh-line counts for the current begin/offer/finish add,
-    /// indexed by set. Zeroed (via `touched`) before `finish` returns.
+    /// Line rectangles intersecting the region being admitted: the only
+    /// places any of its lines can already be locked.
+    overlaps: Vec<LineRect>,
+    /// Per-set fresh-line counts for the current add, indexed by set.
+    /// Zeroed (via `touched`) before the add returns.
     set_counts: Vec<u32>,
     /// Sets with a nonzero entry in `set_counts`.
     touched: Vec<u32>,
@@ -149,356 +144,111 @@ pub trait RepairMechanism {
     fn max_ways_used(&self) -> u32;
 }
 
-/// Shared LLC-occupancy bookkeeping for the two cache-based mechanisms,
-/// stored struct-of-arrays: a flat slot plane (`max_ways` key slots per
-/// set) plus a parallel count plane, replacing the former global hash
-/// set. A line's key determines its set (the key *is* the line address
-/// above the offset bits), so per-set storage loses no dedup power, the
-/// admission check is a bounded linear scan over at most `max_ways`
-/// contiguous keys — no hashing, no probing — and rollback is O(touched
-/// sets): truncating each count plane entry un-inserts every fresh key at
-/// once.
+/// One fault region's repair lines in line coordinates: a rectangle over
+/// `(bank, row, column)` owned by one rank and, for RelaxFault, one
+/// device. Columns are colblocks for FreeFault and colgroups for
+/// RelaxFault.
+///
+/// Both line layouts are bijective — every coordinate bit lands at a
+/// fixed address position, XOR-hashed at most (DESIGN.md §2.1) — so two
+/// lines are the same line exactly when their owner and coordinates are
+/// equal. Duplicate detection therefore needs coordinates, never
+/// addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LineRect {
+    rank: RankId,
+    /// The faulty device for RelaxFault; 0 for FreeFault, whose lines are
+    /// physical blocks shared by every device of the rank.
+    device: u32,
+    banks: BankSet,
+    /// Half-open row bounds.
+    rows: (u32, u32),
+    /// Half-open column bounds.
+    cols: (u32, u32),
+}
+
+impl LineRect {
+    fn lines(&self) -> u64 {
+        self.banks.len() as u64
+            * (self.rows.1 - self.rows.0) as u64
+            * (self.cols.1 - self.cols.0) as u64
+    }
+
+    /// Whether the two rectangles share a line.
+    fn intersects(&self, o: &LineRect) -> bool {
+        self.rank == o.rank
+            && self.device == o.device
+            && !self.banks.intersect(&o.banks).is_empty()
+            && self.rows.0 < o.rows.1
+            && o.rows.0 < self.rows.1
+            && self.cols.0 < o.cols.1
+            && o.cols.0 < self.cols.1
+    }
+
+    /// Whether line `(bank, row, col)` of the same owner lies inside.
+    #[inline]
+    fn contains(&self, bank: u32, row: u32, col: u32) -> bool {
+        self.banks.0 & (1 << bank) != 0
+            && (self.rows.0..self.rows.1).contains(&row)
+            && (self.cols.0..self.cols.1).contains(&col)
+    }
+}
+
+/// How a planner names and addresses its repair lines.
 #[derive(Debug, Clone)]
-struct LlcOccupancy {
-    max_ways: u32,
-    line_bytes: u64,
-    sets: u64,
-    /// Key plane: `max_ways` contiguous slots per set; only the first
-    /// `counts[set]` are live (stale slots are never read).
-    slots: Vec<u64>,
-    /// Count plane: lines locked per set, one byte each (8 KiB at 8192
-    /// sets — the whole plane stays L1/L2-resident across trials).
-    counts: Vec<u8>,
-    /// Signature plane: a 64-bit bloom word per set, the OR of every live
-    /// key's [`key_sig`] bit. A candidate whose bit is absent is
-    /// *provably* fresh, so the dup scan is skipped — the common case for
-    /// large faults, whose candidates are internally distinct.
-    sig: Vec<u64>,
-    /// Pending-candidate planes for [`Self::offer`]: candidates buffer
-    /// here until [`BATCH`](Self::BATCH) accumulate, then the batch's
-    /// occupancy lines are prefetched together and drained in order. A
-    /// large fault touches sets all over the 1 MiB slot plane; issuing
-    /// the loads a batch ahead overlaps the misses instead of paying
-    /// each one serially. Admission order is unchanged, so verdicts and
-    /// committed state are bit-identical to unbatched processing.
-    batch_sets: Vec<u32>,
-    batch_keys: Vec<u64>,
-    /// Sets with a nonzero `counts` entry, for sparse reset/iteration.
-    dirty_sets: Vec<u32>,
-    /// Total lines locked (the sum of `counts`).
-    line_count: u64,
-    max_used: u32,
+enum Layout {
+    /// RelaxFault: `(rank, device, bank, row, colgroup)` through the
+    /// Figure 7c repair map.
+    Relax(RelaxMap),
+    /// FreeFault: physical blocks `(rank, bank, row, colblock)` through
+    /// the DRAM address map.
+    Free(AddressMap),
 }
 
-/// Admits one candidate into the occupancy planes (the per-candidate body
-/// of [`LlcOccupancy::admit_batch`], split out so the batch planes and the
-/// occupancy planes can be borrowed disjointly). Returns `false` when the
-/// set is already at the way limit.
-#[inline]
-fn admit_one(
-    stride: usize,
-    slots: &mut [u64],
-    counts: &mut [u8],
-    sig: &mut [u64],
-    set: u32,
-    key: u64,
-    scratch: &mut PlanScratch,
-) -> bool {
-    let si = set as usize;
-    let cnt = counts[si] as usize;
-    let base = si * stride;
-    let bit = LlcOccupancy::key_sig(key);
-    let s = sig[si];
-    if s & bit != 0 && slots[base..base + cnt].contains(&key) {
-        return true; // already repaired, or a duplicate candidate
-    }
-    if cnt == stride {
-        return false;
-    }
-    slots[base + cnt] = key;
-    counts[si] = (cnt + 1) as u8;
-    sig[si] = s | bit;
-    let fresh = &mut scratch.set_counts[si];
-    if *fresh == 0 {
-        scratch.touched.push(set);
-    }
-    *fresh += 1;
-    true
-}
-
-impl LlcOccupancy {
-    fn new(llc: &CacheConfig, max_ways: u32) -> Self {
-        assert!(
-            max_ways >= 1 && max_ways <= llc.ways,
-            "way limit out of range"
-        );
-        assert!(max_ways <= u8::MAX as u32, "count plane is u8");
-        Self {
-            max_ways,
-            line_bytes: llc.line_bytes as u64,
-            sets: llc.sets(),
-            slots: vec![0; llc.sets() as usize * max_ways as usize],
-            counts: vec![0; llc.sets() as usize],
-            sig: vec![0; llc.sets() as usize],
-            batch_sets: Vec::with_capacity(Self::BATCH),
-            batch_keys: Vec::with_capacity(Self::BATCH),
-            dirty_sets: Vec::new(),
-            line_count: 0,
-            max_used: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        for &s in &self.dirty_sets {
-            self.counts[s as usize] = 0;
-            self.sig[s as usize] = 0;
-        }
-        self.dirty_sets.clear();
-        self.line_count = 0;
-        self.max_used = 0;
-    }
-
-    /// Absolute ceiling on additional lines; used to reject huge faults
-    /// before enumerating them.
-    fn budget_ceiling(&self) -> u64 {
-        self.sets * self.max_ways as u64
-    }
-
-    /// One bloom bit per key for the per-set signature word. The multiply
-    /// spreads key bits so that within one set (where low key bits are
-    /// often constant) the chosen bit still varies.
-    #[inline]
-    fn key_sig(key: u64) -> u64 {
-        1u64 << (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
-    }
-
-    /// Opens an atomic add: candidates are streamed in via [`Self::offer`]
-    /// as the planner enumerates them (no materialized candidate list),
-    /// then [`Self::finish`] commits or rolls back. Either every new line
-    /// fits under the per-set way limit and all are committed, or nothing
-    /// changes. Whether *any* set overflows is independent of candidate
-    /// order, so the verdict — and the committed state — match an
-    /// exhaustive check exactly.
-    fn begin(&mut self, scratch: &mut PlanScratch) {
-        if scratch.set_counts.len() < self.sets as usize {
-            scratch.set_counts.resize(self.sets as usize, 0);
-        }
-        debug_assert!(scratch.touched.is_empty());
-    }
-
-    /// Candidates buffered between prefetch-and-drain rounds. One round's
-    /// occupancy lines fit in L1 while giving the prefetcher enough
-    /// lookahead to overlap the whole round's misses.
-    const BATCH: usize = 64;
-
-    /// Offers one candidate line, buffering it for batched admission.
-    /// Each key is eventually checked against its set's live slots
-    /// (covering both already-locked lines and earlier candidates of
-    /// this call); fresh insertions bump the count plane directly.
-    /// Returns `false` when a set hit the way limit — the caller must
-    /// stop offering and [`Self::finish`] with `ok = false`, which also
-    /// spares enumerating the rest of the fault.
-    #[inline]
-    fn offer(&mut self, set: u32, key: u64, scratch: &mut PlanScratch) -> bool {
-        self.batch_sets.push(set);
-        self.batch_keys.push(key);
-        if self.batch_sets.len() == Self::BATCH {
-            self.admit_batch(scratch)
-        } else {
-            true
-        }
-    }
-
-    /// Prefetches every buffered candidate's occupancy lines, then admits
-    /// the batch in offer order. Returns `false` on the first overfull
-    /// set (leaving that round partially admitted, exactly as unbatched
-    /// processing would — [`Self::finish`] rolls it back).
-    fn admit_batch(&mut self, scratch: &mut PlanScratch) -> bool {
-        let stride = self.max_ways as usize;
-        #[cfg(target_arch = "x86_64")]
-        for &set in &self.batch_sets {
-            let si = set as usize;
-            // Safety: prefetch is a hint — it never dereferences — and
-            // both indices are in bounds anyway (set < sets).
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.sig.as_ptr().add(si).cast(), _MM_HINT_T0);
-                _mm_prefetch(self.slots.as_ptr().add(si * stride).cast(), _MM_HINT_T0);
+impl Layout {
+    /// The byte address of one line.
+    fn addr(&self, rank: RankId, device: u32, bank: u32, row: u32, col: u32) -> u64 {
+        match self {
+            Layout::Relax(map) => map.repair_addr(&RepairLine {
+                rank,
+                device,
+                bank,
+                row,
+                colgroup: col,
+            }),
+            Layout::Free(map) => {
+                let loc = DramLoc {
+                    channel: rank.channel,
+                    dimm: rank.dimm,
+                    rank: rank.rank,
+                    bank,
+                    row,
+                    colblock: col,
+                };
+                map.encode(loc, 0).0
             }
         }
-        let mut ok = true;
-        let Self {
-            slots,
-            counts,
-            sig,
-            batch_sets,
-            batch_keys,
-            ..
-        } = self;
-        for (&set, &key) in batch_sets.iter().zip(batch_keys.iter()) {
-            if !admit_one(stride, slots, counts, sig, set, key, scratch) {
-                ok = false;
-                break;
-            }
-        }
-        batch_sets.clear();
-        batch_keys.clear();
-        ok
     }
 
-    /// Closes the add opened by [`Self::begin`]: drains any buffered
-    /// candidates, then on `ok` commits the bookkeeping (dirty-set
-    /// tracking, line totals, high-water mark); otherwise rolls back by
-    /// subtracting the per-set fresh counts from the count plane — the
-    /// freshly written slots become stale without being touched. Always
-    /// leaves the scratch planes zeroed for reuse.
-    fn finish(&mut self, ok: bool, scratch: &mut PlanScratch) -> bool {
-        let ok = if ok {
-            self.admit_batch(scratch)
-        } else {
-            // Aborted mid-enumeration: the buffered tail was never
-            // admitted and must not survive into the next call.
-            self.batch_sets.clear();
-            self.batch_keys.clear();
-            ok
+    /// The lines one region needs.
+    fn rect(&self, r: &FaultRegion, dram: &DramConfig) -> LineRect {
+        let fp = r.footprint(dram);
+        let (device, cols) = match self {
+            Layout::Relax(map) => (r.device, fp.colblocks.divided(map.coalesce_factor())),
+            Layout::Free(_) => (0, fp.colblocks),
         };
-        let stride = self.max_ways as usize;
-        if ok {
-            for &s in &scratch.touched {
-                let si = s as usize;
-                let fresh = scratch.set_counts[si];
-                let now = self.counts[si] as u32;
-                if now == fresh {
-                    self.dirty_sets.push(s);
-                }
-                self.max_used = self.max_used.max(now);
-                self.line_count += fresh as u64;
-            }
-        } else {
-            for &s in &scratch.touched {
-                let si = s as usize;
-                self.counts[si] -= scratch.set_counts[si] as u8;
-                // The slot plane needs no repair (stale tails are never
-                // read), but the signature word must drop the rolled-back
-                // keys' bits: rebuild it from the surviving slots.
-                let base = si * stride;
-                let mut sig = 0u64;
-                for &k in &self.slots[base..base + self.counts[si] as usize] {
-                    sig |= Self::key_sig(k);
-                }
-                self.sig[si] = sig;
-            }
+        LineRect {
+            rank: r.rank,
+            device,
+            banks: fp.banks,
+            rows: fp.rows.bounds(),
+            cols: cols.bounds(),
         }
-        for &s in &scratch.touched {
-            scratch.set_counts[s as usize] = 0;
-        }
-        scratch.touched.clear();
-        ok
-    }
-
-    fn lines_used(&self) -> u64 {
-        self.line_count
-    }
-
-    fn bytes_used(&self) -> u64 {
-        self.lines_used() * self.line_bytes
-    }
-
-    /// The keys of every locked line, in arbitrary order.
-    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        let stride = self.max_ways as usize;
-        self.dirty_sets.iter().flat_map(move |&s| {
-            let si = s as usize;
-            self.slots[si * stride..si * stride + self.counts[si] as usize]
-                .iter()
-                .copied()
-        })
-    }
-
-    /// `(set, lines locked)` for every occupied set, in arbitrary order.
-    fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.dirty_sets
-            .iter()
-            .map(|&s| (s, self.counts[s as usize] as u32))
-    }
-
-    /// Verifies the occupancy bookkeeping against itself: the sparse
-    /// `dirty_sets` view, the count plane, the live slot plane, the line
-    /// total, and the `max_used` high-water mark must all tell the same
-    /// story. O(sets) — meant for tests and the `RF_CHECK=1` engine hook,
-    /// not the hot path.
-    fn check_invariants(&self) -> Result<(), String> {
-        let mut sum = 0u64;
-        let mut seen = FxHashSet::default();
-        let stride = self.max_ways as usize;
-        for &s in &self.dirty_sets {
-            if s as u64 >= self.sets {
-                return Err(format!("dirty set {s} out of range ({})", self.sets));
-            }
-            if !seen.insert(s) {
-                return Err(format!("set {s} appears twice in dirty_sets"));
-            }
-            let si = s as usize;
-            let c = self.counts[si] as u32;
-            if c == 0 {
-                return Err(format!("dirty set {s} has zero occupancy"));
-            }
-            if c > self.max_ways {
-                return Err(format!(
-                    "set {s} holds {c} lines, over the {}-way limit",
-                    self.max_ways
-                ));
-            }
-            let live = &self.slots[si * stride..si * stride + c as usize];
-            let mut keys: FxHashSet<u64> = FxHashSet::default();
-            let mut sig = 0u64;
-            for &k in live {
-                if !keys.insert(k) {
-                    return Err(format!("set {s} holds key {k:#x} twice"));
-                }
-                sig |= Self::key_sig(k);
-            }
-            if sig != self.sig[si] {
-                return Err(format!(
-                    "set {s} signature {:#x} disagrees with live slots ({sig:#x})",
-                    self.sig[si]
-                ));
-            }
-            sum += c as u64;
-        }
-        if sum != self.line_count {
-            return Err(format!(
-                "per-set occupancy sums to {sum} but {} lines are counted",
-                self.line_count
-            ));
-        }
-        for (si, &c) in self.counts.iter().enumerate() {
-            if c == 0 && self.sig[si] != 0 {
-                return Err(format!("empty set {si} has stale signature bits"));
-            }
-        }
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        if nonzero != self.dirty_sets.len() {
-            return Err(format!(
-                "{nonzero} sets occupied but only {} tracked dirty",
-                self.dirty_sets.len()
-            ));
-        }
-        // Lines only accumulate between resets, so the high-water mark must
-        // equal the current maximum exactly.
-        let max = self.counts.iter().copied().max().unwrap_or(0) as u32;
-        if self.max_used != max {
-            return Err(format!(
-                "max_used {} disagrees with per-set maximum {max}",
-                self.max_used
-            ));
-        }
-        Ok(())
     }
 }
 
-/// Precomputed XOR deltas for enumerating the `(set, key)` pairs of a
-/// rectangular fault footprint without re-encoding every block.
+/// Precomputed XOR deltas for enumerating the lines of a rectangular
+/// footprint without re-encoding every one.
 ///
 /// Both address layouts here ([`AddressMap::encode`] and
 /// [`RelaxMap::repair_addr`]) deposit each coordinate's bits at fixed
@@ -509,7 +259,7 @@ impl LlcOccupancy {
 /// and the same holds for the set index. Rows split further into low/high
 /// halves (`Δ(row) = Δ(row & 255) ⊕ Δ(row & !255)`), keeping the tables
 /// a few KiB even for 64Ki-row devices. Unit tests pin the fast
-/// enumeration against the direct per-block encoding.
+/// enumeration against the direct per-line encoding.
 #[derive(Debug, Clone)]
 struct LineDeltas {
     /// Address / set delta planes per column index (colblock or
@@ -556,54 +306,316 @@ impl LineDeltas {
             self.row_lo_set[lo] ^ self.row_hi_set[hi],
         )
     }
-
-    /// The `(addr, set)` delta of column `c` relative to column 0.
-    #[inline]
-    fn col(&self, c: usize) -> (u64, u64) {
-        (self.col_addr[c], self.col_set[c])
-    }
 }
 
-/// Streams the `(set, key)` of every RelaxFault repair line of `regions`
-/// into `f`, in enumeration order, using the XOR-delta tables: one full
-/// `repair_addr` per (region, bank), then two XORs per line. Stops early
-/// — returning `false` — as soon as `f` does, so a consumer that has
-/// already decided the fault is unrepairable never pays for the rest of
-/// the footprint.
-fn relax_lines_each(
-    map: &RelaxMap,
-    dram: &DramConfig,
-    llc: &CacheConfig,
-    deltas: &LineDeltas,
-    regions: &[FaultRegion],
-    f: &mut impl FnMut(u32, u64) -> bool,
-) -> bool {
-    let off = llc.offset_bits();
-    for r in regions {
-        let rect = r.footprint(dram);
-        let groups = rect.colblocks.divided(map.coalesce_factor());
+/// The LLC repair state both cache-based mechanisms share: a line layout
+/// with its delta tables, a per-set count plane, and the line rectangles
+/// of every accepted region.
+///
+/// A new region's line can already be locked only if an accepted region,
+/// or an earlier region of the same fault, intersects its rectangle. So
+/// admission streams set indices straight into count increments, and runs
+/// a coordinate-containment test only against that (usually empty) list
+/// of intersecting rectangles. The locked keys are never stored: the
+/// accepted rectangles determine them, and [`Self::keys`] and
+/// [`Self::check_invariants`] rebuild them on demand.
+#[derive(Debug, Clone)]
+struct LlcRepair {
+    layout: Layout,
+    dram: DramConfig,
+    llc: CacheConfig,
+    deltas: LineDeltas,
+    max_ways: u32,
+    /// Count plane: lines locked per set, one byte each (8 KiB at 8192
+    /// sets — the whole plane stays L1/L2-resident across trials).
+    counts: Vec<u8>,
+    /// Line rectangles of every accepted region, in acceptance order.
+    /// During an add, the current fault's regions follow them.
+    regions: Vec<LineRect>,
+    /// Sets with a nonzero `counts` entry, for sparse reset/iteration.
+    dirty_sets: Vec<u32>,
+    /// Total lines locked (the sum of `counts`).
+    line_count: u64,
+    max_used: u32,
+}
+
+impl LlcRepair {
+    fn new(layout: Layout, dram: &DramConfig, llc: &CacheConfig, max_ways: u32) -> Self {
+        assert!(
+            max_ways >= 1 && max_ways <= llc.ways,
+            "way limit out of range"
+        );
+        assert!(max_ways <= u8::MAX as u32, "count plane is u8");
+        let cols = match &layout {
+            Layout::Relax(map) => map.colgroups_per_row(),
+            Layout::Free(_) => dram.blocks_per_row(),
+        };
+        let origin = RankId {
+            channel: 0,
+            dimm: 0,
+            rank: 0,
+        };
+        let deltas = LineDeltas::new(llc, dram.rows, cols, |row, col| {
+            layout.addr(origin, 0, 0, row, col)
+        });
+        Self {
+            layout,
+            dram: *dram,
+            llc: *llc,
+            deltas,
+            max_ways,
+            counts: vec![0; llc.sets() as usize],
+            regions: Vec::new(),
+            dirty_sets: Vec::new(),
+            line_count: 0,
+            max_used: 0,
+        }
+    }
+
+    fn reset(&mut self) {
+        for &s in &self.dirty_sets {
+            self.counts[s as usize] = 0;
+        }
+        self.dirty_sets.clear();
+        self.regions.clear();
+        self.line_count = 0;
+        self.max_used = 0;
+    }
+
+    /// Analytic count of lines a fault would need in isolation.
+    fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
+        regions
+            .iter()
+            .map(|r| self.layout.rect(r, &self.dram).lines())
+            .sum()
+    }
+
+    /// The atomic repair attempt behind both planners' `try_repair_with`.
+    fn try_repair(
+        &mut self,
+        mech: &'static str,
+        metrics: &PlanMetrics,
+        regions: &[FaultRegion],
+        scratch: &mut PlanScratch,
+    ) -> bool {
+        let need = self.lines_needed(regions);
+        if need > self.counts.len() as u64 * self.max_ways as u64 {
+            // Whole-bank-scale fault: fail before enumerating.
+            metrics.record(mech, RepairOutcome::RejectedCapacity, need);
+            return false;
+        }
+        let before = self.line_count;
+        let ok = self.try_add(regions, scratch);
+        let outcome = if ok {
+            RepairOutcome::Accepted
+        } else {
+            RepairOutcome::RejectedConflict
+        };
+        metrics.record(mech, outcome, self.line_count - before);
+        ok
+    }
+
+    /// Adds every line of `regions` atomically: either every new line fits
+    /// under the per-set way limit and all are committed, or nothing
+    /// changes. Whether *any* set overflows is independent of line order,
+    /// so the verdict — and the committed state — match an exhaustive
+    /// check exactly, while a conflicting fault stops enumerating at the
+    /// first overfull set.
+    fn try_add(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
+        if scratch.set_counts.len() < self.counts.len() {
+            scratch.set_counts.resize(self.counts.len(), 0);
+        }
+        debug_assert!(scratch.touched.is_empty());
+        let accepted = self.regions.len();
+        let mut ok = true;
+        for r in regions {
+            let rect = self.layout.rect(r, &self.dram);
+            scratch.overlaps.clear();
+            scratch
+                .overlaps
+                .extend(self.regions.iter().filter(|q| q.intersects(&rect)));
+            self.regions.push(rect);
+            if !self.admit(&rect, scratch) {
+                ok = false;
+                break;
+            }
+        }
+        if ok {
+            for &s in &scratch.touched {
+                let si = s as usize;
+                let fresh = scratch.set_counts[si];
+                let now = self.counts[si] as u32;
+                if now == fresh {
+                    self.dirty_sets.push(s);
+                }
+                self.max_used = self.max_used.max(now);
+                self.line_count += fresh as u64;
+            }
+        } else {
+            for &s in &scratch.touched {
+                self.counts[s as usize] -= scratch.set_counts[s as usize] as u8;
+            }
+            self.regions.truncate(accepted);
+        }
+        for &s in &scratch.touched {
+            scratch.set_counts[s as usize] = 0;
+        }
+        scratch.touched.clear();
+        ok
+    }
+
+    /// Counts every line of `rect` outside `scratch.overlaps` into the
+    /// count plane, noting the fresh per-set counts for rollback. Returns
+    /// `false` at the first set over the way limit.
+    fn admit(&mut self, rect: &LineRect, scratch: &mut PlanScratch) -> bool {
+        let PlanScratch {
+            overlaps,
+            set_counts,
+            touched,
+            ..
+        } = scratch;
+        let (c0, c1) = (rect.cols.0 as usize, rect.cols.1 as usize);
+        let col_set = &self.deltas.col_set[c0..c1];
         for bank in rect.banks.iter() {
-            let base = map.repair_addr(&RepairLine {
-                rank: r.rank,
-                device: r.device,
-                bank,
-                row: 0,
-                colgroup: 0,
-            });
-            let set_base = llc.set_of(base);
-            for row in rect.rows.iter() {
-                let (ra, rs) = deltas.row(row);
-                let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
-                for colgroup in groups.iter() {
-                    let (ca, cs) = deltas.col(colgroup as usize);
-                    if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
+            let base = self.layout.addr(rect.rank, rect.device, bank, 0, 0);
+            let set_base = self.llc.set_of(base);
+            for row in rect.rows.0..rect.rows.1 {
+                let row_set = set_base ^ self.deltas.row(row).1;
+                for (col, &cs) in (rect.cols.0..).zip(col_set) {
+                    if overlaps.iter().any(|q| q.contains(bank, row, col)) {
+                        continue; // already locked, or an earlier region's line
+                    }
+                    let si = (row_set ^ cs) as usize;
+                    let c = self.counts[si];
+                    if c as u32 == self.max_ways {
                         return false;
                     }
+                    self.counts[si] = c + 1;
+                    let fresh = &mut set_counts[si];
+                    if *fresh == 0 {
+                        touched.push(si as u32);
+                    }
+                    *fresh += 1;
+                }
+            }
+        }
+        true
+    }
+
+    /// Calls `f(set, key)` for every line of `rect` in (bank, row,
+    /// column) order, addressing each through the delta tables and
+    /// indexing it with the LLC's own set function.
+    fn each_line(&self, rect: &LineRect, mut f: impl FnMut(u64, u64)) {
+        let off = self.llc.offset_bits();
+        for bank in rect.banks.iter() {
+            let base = self.layout.addr(rect.rank, rect.device, bank, 0, 0);
+            for row in rect.rows.0..rect.rows.1 {
+                let row_addr = base ^ self.deltas.row(row).0;
+                for col in rect.cols.0..rect.cols.1 {
+                    let addr = row_addr ^ self.deltas.col_addr[col as usize];
+                    f(self.llc.set_of(addr), addr >> off);
                 }
             }
         }
     }
-    true
+
+    /// The locked lines as `key → set`, rebuilt from the accepted regions
+    /// (a line two regions share appears once).
+    fn locked_lines(&self) -> FxHashMap<u64, u64> {
+        let mut lines = FxHashMap::default();
+        for rect in &self.regions {
+            self.each_line(rect, |set, key| {
+                lines.insert(key, set);
+            });
+        }
+        lines
+    }
+
+    fn lines_used(&self) -> u64 {
+        self.line_count
+    }
+
+    fn bytes_used(&self) -> u64 {
+        self.line_count * self.llc.line_bytes as u64
+    }
+
+    /// The keys of every locked line, in arbitrary order.
+    fn keys(&self) -> impl Iterator<Item = u64> {
+        self.locked_lines().into_keys()
+    }
+
+    /// `(set, lines locked)` for every occupied set, in arbitrary order.
+    fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.dirty_sets
+            .iter()
+            .map(|&s| (s, self.counts[s as usize] as u32))
+    }
+
+    /// Verifies the occupancy bookkeeping against the accepted regions:
+    /// the count plane must equal the per-set count of the distinct lines
+    /// they cover, and the sparse `dirty_sets` view, the line total and
+    /// the `max_used` high-water mark must tell the same story.
+    /// O(sets + locked lines) — meant for tests and the `RF_CHECK=1`
+    /// engine hook, not the hot path.
+    fn check_invariants(&self) -> Result<(), String> {
+        let lines = self.locked_lines();
+        let mut expect = vec![0u32; self.counts.len()];
+        for &set in lines.values() {
+            expect[set as usize] += 1;
+        }
+        for (s, (&c, &e)) in self.counts.iter().zip(&expect).enumerate() {
+            if c as u32 != e {
+                return Err(format!(
+                    "set {s} counts {c} lines but the accepted regions lock {e}"
+                ));
+            }
+            if c as u32 > self.max_ways {
+                return Err(format!(
+                    "set {s} holds {c} lines, over the {}-way limit",
+                    self.max_ways
+                ));
+            }
+        }
+        if lines.len() as u64 != self.line_count {
+            return Err(format!(
+                "accepted regions lock {} lines but {} are counted",
+                lines.len(),
+                self.line_count
+            ));
+        }
+        let mut seen = FxHashSet::default();
+        for &s in &self.dirty_sets {
+            if s as usize >= self.counts.len() {
+                return Err(format!(
+                    "dirty set {s} out of range ({})",
+                    self.counts.len()
+                ));
+            }
+            if !seen.insert(s) {
+                return Err(format!("set {s} appears twice in dirty_sets"));
+            }
+            if self.counts[s as usize] == 0 {
+                return Err(format!("dirty set {s} has zero occupancy"));
+            }
+        }
+        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
+        if nonzero != self.dirty_sets.len() {
+            return Err(format!(
+                "{nonzero} sets occupied but only {} tracked dirty",
+                self.dirty_sets.len()
+            ));
+        }
+        // Lines only accumulate between resets, so the high-water mark must
+        // equal the current maximum exactly.
+        let max = self.counts.iter().copied().max().unwrap_or(0) as u32;
+        if self.max_used != max {
+            return Err(format!(
+                "max_used {} disagrees with per-set maximum {max}",
+                self.max_used
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The paper's contribution: coalescing repair in the LLC (Figure 7c
@@ -613,10 +625,7 @@ fn relax_lines_each(
 #[derive(Debug, Clone)]
 pub struct RelaxFault {
     map: RelaxMap,
-    dram: DramConfig,
-    llc: CacheConfig,
-    deltas: LineDeltas,
-    occ: LlcOccupancy,
+    repair: LlcRepair,
 }
 
 impl RelaxFault {
@@ -631,26 +640,9 @@ impl RelaxFault {
         if obs::metrics_enabled() {
             obs::gauge("plan.relaxfault.coalesce_factor").set(map.coalesce_factor() as f64);
         }
-        let origin = RankId {
-            channel: 0,
-            dimm: 0,
-            rank: 0,
-        };
-        let deltas = LineDeltas::new(llc, dram.rows, map.colgroups_per_row(), |row, colgroup| {
-            map.repair_addr(&RepairLine {
-                rank: origin,
-                device: 0,
-                bank: 0,
-                row,
-                colgroup,
-            })
-        });
         Self {
             map,
-            dram: *dram,
-            llc: *llc,
-            deltas,
-            occ: LlcOccupancy::new(llc, max_ways_per_set),
+            repair: LlcRepair::new(Layout::Relax(map), dram, llc, max_ways_per_set),
         }
     }
 
@@ -662,57 +654,27 @@ impl RelaxFault {
     /// The keys of every locked repair line, in arbitrary order. Read-only
     /// view for differential oracles and regression tests.
     pub fn line_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.occ.keys()
+        self.repair.keys()
     }
 
     /// `(set, lines locked)` for every occupied set, in arbitrary order.
     pub fn occupied_sets(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.occ.occupied()
+        self.repair.occupied()
     }
 
     /// Verifies the planner's occupancy bookkeeping (see
-    /// `LlcOccupancy::check_invariants`).
+    /// `LlcRepair::check_invariants`).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.occ.check_invariants()
+        self.repair.check_invariants()
     }
 
     /// Analytic count of repair lines a fault would need in isolation.
     pub fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
-        regions
-            .iter()
-            .map(|r| r.footprint(&self.dram))
-            .map(|rect| {
-                rect.banks.len() as u64
-                    * rect.rows.len()
-                    * rect.colblocks.divided(self.map.coalesce_factor()).len()
-            })
-            .sum()
-    }
-
-    /// Enumerates the set/key planes of every repair line into
-    /// `scratch.cand_sets` / `cand_keys` — the materialized form of
-    /// [`relax_lines_each`], for tests that pin the fast enumeration
-    /// against the direct per-line mapping.
-    #[cfg(test)]
-    fn lines_into(&self, regions: &[FaultRegion], scratch: &mut PlanScratch) {
-        scratch.cand_sets.clear();
-        scratch.cand_keys.clear();
-        relax_lines_each(
-            &self.map,
-            &self.dram,
-            &self.llc,
-            &self.deltas,
-            regions,
-            &mut |set, key| {
-                scratch.cand_sets.push(set);
-                scratch.cand_keys.push(key);
-                true
-            },
-        );
+        self.repair.lines_needed(regions)
     }
 
     /// Enumerates the repair lines of one fault.
@@ -721,7 +683,7 @@ impl RelaxFault {
         regions: &'a [FaultRegion],
     ) -> impl Iterator<Item = RepairLine> + 'a {
         regions.iter().flat_map(move |r| {
-            let rect = r.footprint(&self.dram);
+            let rect = r.footprint(&self.repair.dram);
             let rank = r.rank;
             let device = r.device;
             let groups = rect.colblocks.divided(self.map.coalesce_factor());
@@ -746,51 +708,24 @@ impl RepairMechanism for RelaxFault {
     }
 
     fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
-        let need = self.lines_needed(regions);
-        if need > self.occ.budget_ceiling() {
-            // Whole-bank-scale fault: fail before enumerating.
-            relaxfault_metrics().record("RelaxFault", RepairOutcome::RejectedCapacity, need);
-            return false;
-        }
-        // Enumeration streams straight into the occupancy — no candidate
-        // list is materialized, and a conflicting fault stops enumerating
-        // at the first overfull set.
-        let before = self.occ.lines_used();
-        self.occ.begin(scratch);
-        let Self {
-            map,
-            dram,
-            llc,
-            deltas,
-            occ,
-        } = self;
-        let all = relax_lines_each(map, dram, llc, deltas, regions, &mut |set, key| {
-            occ.offer(set, key, scratch)
-        });
-        let ok = occ.finish(all, scratch);
-        let outcome = if ok {
-            RepairOutcome::Accepted
-        } else {
-            RepairOutcome::RejectedConflict
-        };
-        relaxfault_metrics().record("RelaxFault", outcome, self.occ.lines_used() - before);
-        ok
+        self.repair
+            .try_repair("RelaxFault", relaxfault_metrics(), regions, scratch)
     }
 
     fn reset(&mut self) {
-        self.occ.reset();
+        self.repair.reset();
     }
 
     fn lines_used(&self) -> u64 {
-        self.occ.lines_used()
+        self.repair.lines_used()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.occ.bytes_used()
+        self.repair.bytes_used()
     }
 
     fn max_ways_used(&self) -> u32 {
-        self.occ.max_used
+        self.repair.max_used
     }
 }
 
@@ -800,11 +735,7 @@ impl RepairMechanism for RelaxFault {
 /// costs `blocks_per_row` lines (256) instead of RelaxFault's 16.
 #[derive(Debug, Clone)]
 pub struct FreeFault {
-    dram: DramConfig,
-    dram_map: AddressMap,
-    llc: CacheConfig,
-    deltas: LineDeltas,
-    occ: LlcOccupancy,
+    repair: LlcRepair,
 }
 
 impl FreeFault {
@@ -815,125 +746,36 @@ impl FreeFault {
     ///
     /// Panics on invalid configs or way limits (see [`RelaxFault::new`]).
     pub fn new(dram: &DramConfig, llc: &CacheConfig, max_ways_per_set: u32) -> Self {
-        let dram_map = AddressMap::nehalem_like(dram, true);
-        let deltas = LineDeltas::new(llc, dram.rows, dram.blocks_per_row(), |row, colblock| {
-            dram_map
-                .encode(
-                    DramLoc {
-                        channel: 0,
-                        dimm: 0,
-                        rank: 0,
-                        bank: 0,
-                        row,
-                        colblock,
-                    },
-                    0,
-                )
-                .0
-        });
+        let layout = Layout::Free(AddressMap::nehalem_like(dram, true));
         Self {
-            dram: *dram,
-            dram_map,
-            llc: *llc,
-            deltas,
-            occ: LlcOccupancy::new(llc, max_ways_per_set),
+            repair: LlcRepair::new(layout, dram, llc, max_ways_per_set),
         }
     }
 
     /// Analytic count of LLC lines a fault would need in isolation.
     pub fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
-        regions
-            .iter()
-            .map(|r| r.footprint(&self.dram).block_count())
-            .sum()
+        self.repair.lines_needed(regions)
     }
 
     /// The keys of every locked repair line, in arbitrary order.
     pub fn line_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.occ.keys()
+        self.repair.keys()
     }
 
     /// `(set, lines locked)` for every occupied set, in arbitrary order.
     pub fn occupied_sets(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.occ.occupied()
+        self.repair.occupied()
     }
 
     /// Verifies the planner's occupancy bookkeeping (see
-    /// `LlcOccupancy::check_invariants`).
+    /// `LlcRepair::check_invariants`).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.occ.check_invariants()
+        self.repair.check_invariants()
     }
-
-    /// Enumerates the set/key planes of every faulty physical block into
-    /// `scratch.cand_sets` / `cand_keys` — the materialized form of
-    /// [`free_blocks_each`], for tests that pin the fast enumeration
-    /// against direct encoding.
-    #[cfg(test)]
-    fn blocks(&self, regions: &[FaultRegion], scratch: &mut PlanScratch) {
-        scratch.cand_sets.clear();
-        scratch.cand_keys.clear();
-        free_blocks_each(
-            &self.dram_map,
-            &self.dram,
-            &self.llc,
-            &self.deltas,
-            regions,
-            &mut |set, key| {
-                scratch.cand_sets.push(set);
-                scratch.cand_keys.push(key);
-                true
-            },
-        );
-    }
-}
-
-/// Streams the `(set, key)` of every faulty physical block of `regions`
-/// into `f`: one full encode per (region, bank), every other block two
-/// XORs via the delta tables. Stops early — returning `false` — as soon
-/// as `f` does.
-fn free_blocks_each(
-    dram_map: &AddressMap,
-    dram: &DramConfig,
-    llc: &CacheConfig,
-    deltas: &LineDeltas,
-    regions: &[FaultRegion],
-    f: &mut impl FnMut(u32, u64) -> bool,
-) -> bool {
-    let off = llc.offset_bits();
-    for r in regions {
-        let rect = r.footprint(dram);
-        for bank in rect.banks.iter() {
-            let base = dram_map
-                .encode(
-                    DramLoc {
-                        channel: r.rank.channel,
-                        dimm: r.rank.dimm,
-                        rank: r.rank.rank,
-                        bank,
-                        row: 0,
-                        colblock: 0,
-                    },
-                    0,
-                )
-                .0;
-            let set_base = llc.set_of(base);
-            for row in rect.rows.iter() {
-                let (ra, rs) = deltas.row(row);
-                let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
-                for colblock in rect.colblocks.iter() {
-                    let (ca, cs) = deltas.col(colblock as usize);
-                    if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
 }
 
 impl RepairMechanism for FreeFault {
@@ -942,49 +784,24 @@ impl RepairMechanism for FreeFault {
     }
 
     fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
-        let need = self.lines_needed(regions);
-        if need > self.occ.budget_ceiling() {
-            freefault_metrics().record("FreeFault", RepairOutcome::RejectedCapacity, need);
-            return false;
-        }
-        // Stream blocks straight into the occupancy (see
-        // `RelaxFault::try_repair_with`).
-        let before = self.occ.lines_used();
-        self.occ.begin(scratch);
-        let Self {
-            dram,
-            dram_map,
-            llc,
-            deltas,
-            occ,
-        } = self;
-        let all = free_blocks_each(dram_map, dram, llc, deltas, regions, &mut |set, key| {
-            occ.offer(set, key, scratch)
-        });
-        let ok = occ.finish(all, scratch);
-        let outcome = if ok {
-            RepairOutcome::Accepted
-        } else {
-            RepairOutcome::RejectedConflict
-        };
-        freefault_metrics().record("FreeFault", outcome, self.occ.lines_used() - before);
-        ok
+        self.repair
+            .try_repair("FreeFault", freefault_metrics(), regions, scratch)
     }
 
     fn reset(&mut self) {
-        self.occ.reset();
+        self.repair.reset();
     }
 
     fn lines_used(&self) -> u64 {
-        self.occ.lines_used()
+        self.repair.lines_used()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.occ.bytes_used()
+        self.repair.bytes_used()
     }
 
     fn max_ways_used(&self) -> u32 {
-        self.occ.max_used
+        self.repair.max_used
     }
 }
 
@@ -1341,6 +1158,97 @@ mod tests {
     }
 
     #[test]
+    fn relaxfault_shares_colgroups_within_one_fault() {
+        // A row and a column of the same device, in one fault, meet in one
+        // colgroup of row 9: that line is counted once.
+        let mut rf = RelaxFault::new(&dram(), &llc(), 4);
+        let fault = [
+            region(Extent::Row { bank: 0, row: 9 }),
+            region(Extent::Column {
+                bank: 0,
+                col: 40,
+                row_start: 0,
+                row_count: 512,
+            }),
+        ];
+        assert_eq!(rf.lines_needed(&fault), 16 + 512);
+        assert!(rf.try_repair(&fault));
+        assert_eq!(rf.lines_used(), 16 + 511);
+        rf.check_invariants().unwrap();
+        // The same column on another device shares nothing.
+        let other = FaultRegion {
+            device: 4,
+            ..fault[1]
+        };
+        assert!(rf.try_repair(&[other]));
+        assert_eq!(rf.lines_used(), 16 + 511 + 512);
+        rf.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn freefault_shares_blocks_across_devices() {
+        // Physical blocks span every device of the rank: a cluster on
+        // another device over rows 8..12 reuses row 9's 256 blocks, both
+        // against an accepted fault and within one fault.
+        let mut ff = FreeFault::new(&dram(), &llc(), 1);
+        let row = region(Extent::Row { bank: 0, row: 9 });
+        let cluster = FaultRegion {
+            device: 5,
+            extent: Extent::RowCluster {
+                bank: 0,
+                row_start: 8,
+                row_count: 4,
+            },
+            ..row
+        };
+        assert!(ff.try_repair(&[row]));
+        assert!(ff.try_repair(&[cluster]));
+        assert_eq!(ff.lines_used(), 4 * 256);
+        ff.check_invariants().unwrap();
+        let mut one = FreeFault::new(&dram(), &llc(), 1);
+        assert!(one.try_repair(&[row, cluster]));
+        assert_eq!(one.lines_used(), 4 * 256);
+        let mut keys: Vec<u64> = one.line_keys().collect();
+        let mut expect: Vec<u64> = ff.line_keys().collect();
+        keys.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(keys, expect);
+        // Another rank shares nothing.
+        let far = FaultRegion {
+            rank: RankId {
+                channel: 1,
+                dimm: 0,
+                rank: 0,
+            },
+            ..row
+        };
+        assert!(ff.try_repair(&[far]));
+        assert_eq!(ff.lines_used(), 5 * 256);
+    }
+
+    #[test]
+    fn freefault_builds_on_a_one_set_llc() {
+        let one_set = CacheConfig {
+            size_bytes: 8 * 64,
+            ways: 8,
+            line_bytes: 64,
+            indexing: relaxfault_cache::Indexing::XorFold { rotation: 3 },
+        };
+        let mut ff = FreeFault::new(&dram(), &one_set, 2);
+        for col in [0, 8, 16] {
+            let bit = region(Extent::Bit {
+                bank: 1,
+                row: 2,
+                col,
+            });
+            assert_eq!(ff.try_repair(&[bit]), col < 16, "col {col}");
+        }
+        assert_eq!(ff.lines_used(), 2);
+        assert_eq!(ff.occupied_sets().collect::<Vec<_>>(), vec![(0, 2)]);
+        ff.check_invariants().unwrap();
+    }
+
+    #[test]
     fn try_add_rollback_restores_exact_pre_offer_state() {
         // Audit pin for the rollback path: a rejected repair whose
         // candidate list *overlaps* already-locked lines must remove only
@@ -1379,6 +1287,7 @@ mod tests {
             sets_after.sort_unstable();
             assert_eq!(sets_after, sets_before, "rollback disturbed occupancy");
             assert_eq!(rf.max_ways_used(), 1);
+            assert_eq!(rf.repair.regions.len(), 1, "rollback kept a pending region");
             rf.check_invariants().unwrap();
         }
         // The planner still accepts an unrelated repair afterwards.
@@ -1453,21 +1362,40 @@ mod tests {
         ]
     }
 
+    /// The `(set, key)` of every line of `r` through the delta tables, in
+    /// enumeration order.
+    fn delta_lines(repair: &LlcRepair, r: &FaultRegion) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        repair.each_line(&repair.layout.rect(r, &repair.dram), |set, key| {
+            out.push((set, key))
+        });
+        out
+    }
+
+    /// Admission's set stream (the count plane after admitting `lines`
+    /// into an empty 16-way planner) against the per-set counts of the
+    /// directly encoded `lines`.
+    fn assert_admitted_sets(repair: &mut LlcRepair, r: &FaultRegion, lines: &[(u64, u64)]) {
+        repair.reset();
+        assert!(repair.try_add(std::slice::from_ref(r), &mut PlanScratch::new()));
+        let mut admitted: Vec<(u32, u32)> = repair.occupied().collect();
+        admitted.sort_unstable();
+        let mut direct = std::collections::BTreeMap::new();
+        for &(set, _) in lines {
+            *direct.entry(set as u32).or_insert(0u32) += 1;
+        }
+        let direct: Vec<(u32, u32)> = direct.into_iter().collect();
+        assert_eq!(admitted, direct, "extent {:?}", r.extent);
+    }
+
     #[test]
     fn freefault_delta_blocks_match_direct_encode() {
         let d = dram();
         let c = llc();
-        let ff = FreeFault::new(&d, &c, 16);
+        let mut ff = FreeFault::new(&d, &c, 16);
         let map = AddressMap::nehalem_like(&d, true);
         for r in delta_probe_regions() {
-            let mut scratch = PlanScratch::new();
-            ff.blocks(std::slice::from_ref(&r), &mut scratch);
-            let fast: Vec<(u64, u64)> = scratch
-                .cand_sets
-                .iter()
-                .zip(&scratch.cand_keys)
-                .map(|(&s, &k)| (s as u64, k))
-                .collect();
+            let fast = delta_lines(&ff.repair, &r);
             let mut naive = Vec::new();
             {
                 let rect = r.footprint(&d);
@@ -1493,6 +1421,7 @@ mod tests {
                 }
             }
             assert_eq!(fast, naive, "extent {:?}", r.extent);
+            assert_admitted_sets(&mut ff.repair, &r, &naive);
         }
     }
 
@@ -1500,23 +1429,15 @@ mod tests {
     fn relaxfault_delta_lines_match_direct_mapping() {
         let d = dram();
         let c = llc();
+        let mut rf = RelaxFault::new(&d, &c, 16);
         for r in delta_probe_regions() {
-            let rf = RelaxFault::new(&d, &c, 16);
-            let mut scratch = PlanScratch::new();
-            rf.lines_into(std::slice::from_ref(&r), &mut scratch);
-            let mut fast: Vec<(u64, u64)> = scratch
-                .cand_sets
-                .iter()
-                .zip(&scratch.cand_keys)
-                .map(|(&s, &k)| (s as u64, k))
-                .collect();
-            fast.sort_unstable();
-            let mut naive: Vec<(u64, u64)> = rf
+            let fast = delta_lines(&rf.repair, &r);
+            let naive: Vec<(u64, u64)> = rf
                 .repair_lines(std::slice::from_ref(&r))
                 .map(|l| (rf.map.set_of(&l), rf.map.key_of(&l)))
                 .collect();
-            naive.sort_unstable();
             assert_eq!(fast, naive, "extent {:?}", r.extent);
+            assert_admitted_sets(&mut rf.repair, &r, &naive);
         }
     }
 

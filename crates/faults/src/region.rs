@@ -75,7 +75,7 @@ impl IdxSet {
     }
 
     /// `(start, end)` half-open bounds of the set.
-    fn bounds(&self) -> (u32, u32) {
+    pub fn bounds(&self) -> (u32, u32) {
         match *self {
             IdxSet::All { domain } => (0, domain),
             IdxSet::Range { start, count } => (start, start.saturating_add(count)),

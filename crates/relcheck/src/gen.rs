@@ -91,22 +91,91 @@ pub fn arb_corner_region(src: &mut Source, cfg: &DramConfig) -> FaultRegion {
     }
 }
 
-/// A sequence of fault offers (each one fault = one or two regions, as
-/// multi-rank faults produce) to drive a planner through, shrinking toward
-/// fewer and simpler offers.
-pub fn arb_offer_sequence(src: &mut Source, cfg: &DramConfig) -> Vec<Vec<FaultRegion>> {
-    src.vec(1, 6, |s| {
-        let first = arb_corner_region(s, cfg);
-        if s.weighted(&[5, 1]) == 1 {
-            // A sibling region on another rank of the same coordinates,
-            // like a multi-rank DIMM fault.
-            let mut sibling = first;
-            sibling.rank.rank = (sibling.rank.rank + 1) % cfg.ranks_per_dimm.max(1);
-            if sibling.rank != first.rank {
-                return vec![first, sibling];
+/// A region that shares repair lines with `base`: same rank and bank,
+/// rows overlapping `base`'s, and a column inside `base`'s columns. On
+/// another device it shares physical blocks (FreeFault lines); on the same
+/// device it shares column groups (RelaxFault lines).
+pub fn arb_overlapping_region(
+    src: &mut Source,
+    cfg: &DramConfig,
+    base: &FaultRegion,
+) -> FaultRegion {
+    let rect = base.footprint(cfg);
+    let banks: Vec<u32> = rect.banks.iter().collect();
+    let bank = banks[src.choice_index(banks.len())];
+    let (r0, r1) = rect.rows.bounds();
+    let row = src.u32(r0, r1 - 1);
+    let (c0, c1) = rect.colblocks.bounds();
+    let col = src.u32(c0, c1 - 1) * cfg.burst_length + src.u32(0, cfg.burst_length - 1);
+    let devices = cfg.devices_per_rank();
+    let device = if src.bool() {
+        base.device
+    } else {
+        (base.device + src.u32(1, devices - 1)) % devices
+    };
+    let extent = match src.weighted(&[2, 2, 2, 1]) {
+        0 => Extent::Bit { bank, row, col },
+        1 => Extent::Row { bank, row },
+        2 => {
+            let rows = src.u32(2, 64).min(cfg.rows);
+            Extent::RowCluster {
+                bank,
+                row_start: row
+                    .saturating_sub(src.u32(0, rows - 1))
+                    .min(cfg.rows - rows),
+                row_count: rows,
             }
         }
-        vec![first]
+        _ => {
+            let start = row / cfg.subarray_rows * cfg.subarray_rows;
+            Extent::Column {
+                bank,
+                col,
+                row_start: start,
+                row_count: cfg.subarray_rows.min(cfg.rows - start),
+            }
+        }
+    };
+    FaultRegion {
+        rank: base.rank,
+        device,
+        extent,
+    }
+}
+
+/// A sequence of fault offers (each one fault = one or two regions, as
+/// multi-rank faults produce) to drive a planner through, shrinking toward
+/// fewer and simpler offers. A weighted share are overlapping follow-ups
+/// ([`arb_overlapping_region`]) of an earlier region — of an earlier offer,
+/// or of the offer's own first region — so planners meet lines that are
+/// already locked or shared within one fault.
+pub fn arb_offer_sequence(src: &mut Source, cfg: &DramConfig) -> Vec<Vec<FaultRegion>> {
+    let mut earlier: Vec<FaultRegion> = Vec::new();
+    src.vec(1, 6, |s| {
+        let first = arb_corner_region(s, cfg);
+        let offer = match s.weighted(&[5, 1, 3]) {
+            0 => vec![first],
+            1 => {
+                // A sibling region on another rank of the same coordinates,
+                // like a multi-rank DIMM fault.
+                let mut sibling = first;
+                sibling.rank.rank = (sibling.rank.rank + 1) % cfg.ranks_per_dimm.max(1);
+                if sibling.rank != first.rank {
+                    vec![first, sibling]
+                } else {
+                    vec![first]
+                }
+            }
+            _ => {
+                let i = s.choice_index(earlier.len() + 1);
+                match earlier.get(i) {
+                    Some(base) => vec![arb_overlapping_region(s, cfg, base)],
+                    None => vec![first, arb_overlapping_region(s, cfg, &first)],
+                }
+            }
+        };
+        earlier.extend_from_slice(&offer);
+        offer
     })
 }
 
@@ -229,6 +298,36 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn offer_sequences_reach_shared_lines() {
+        // Both follow-up kinds occur: a region over an earlier region's
+        // blocks on another device, and one on the same device.
+        let cfg = DramConfig::isca16_reliability();
+        let (mut same_device, mut other_device) = (0, 0);
+        relaxfault_util::prop::check(300, |src| {
+            let mut seen: Vec<FaultRegion> = Vec::new();
+            for offer in arb_offer_sequence(src, &cfg) {
+                for r in &offer {
+                    for q in &seen {
+                        if q.rank == r.rank && q.footprint(&cfg).intersects(&r.footprint(&cfg)) {
+                            if q.device == r.device {
+                                same_device += 1;
+                            } else {
+                                other_device += 1;
+                            }
+                        }
+                    }
+                    seen.push(*r);
+                }
+            }
+            Ok(())
+        });
+        assert!(
+            same_device >= 30 && other_device >= 30,
+            "overlaps: {same_device} same-device, {other_device} other-device"
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * the runtime cache model — an array of line structs with 64-bit LRU
 //!   ticks and the set index recomputed per call, instead of packed tag,
 //!   stamp and dirty arrays with a precomputed index;
-//! * LLC occupancy — `BTreeMap`/`BTreeSet` with a two-pass
+//! * LLC occupancy — per-line `BTreeMap`/`BTreeSet` with a two-pass
 //!   check-then-commit, no rollback needed, instead of the one-pass
-//!   insert-and-roll-back hash path;
+//!   count-plane admission that deduplicates per fault region and rolls
+//!   back;
 //! * trial evaluation — freshly allocated state per call, no scratch
 //!   reuse, no planner caching;
 //! * the whole engine — a single-threaded trial loop with no zero-fault
@@ -57,7 +58,7 @@ pub struct NaiveOccupancy {
 }
 
 impl NaiveOccupancy {
-    /// Mirrors `LlcOccupancy::new`.
+    /// Mirrors the production planners' occupancy (`LlcRepair::new`).
     pub fn new(llc: &CacheConfig, max_ways: u32) -> Self {
         assert!(max_ways >= 1 && max_ways <= llc.ways);
         Self {
@@ -390,7 +391,9 @@ impl NaiveRelax {
         }
     }
 
-    fn enumerate(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
+    /// The `(set, key)` of every line of every region, in order,
+    /// duplicates included.
+    pub fn enumerate(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         for r in regions {
             let rect = r.footprint(&self.dram);
@@ -460,7 +463,9 @@ impl NaiveFree {
         }
     }
 
-    fn enumerate(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
+    /// The `(set, key)` of every line of every region, in order,
+    /// duplicates included.
+    pub fn enumerate(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
         let off = self.llc.offset_bits();
         let mut out = Vec::new();
         for r in regions {

@@ -3,9 +3,13 @@
 //! that the harness actually catches the class of bug it exists for.
 
 use relaxfault_cache::{CacheConfig, Indexing};
+use relaxfault_core::plan::{FreeFault, RelaxFault};
+use relaxfault_dram::DramConfig;
+use relaxfault_relcheck::gen;
 use relaxfault_relcheck::oracle::{
     self, cache_oracle_property, check_with_repro, engine_oracle_property, eval_oracle_property,
-    free_oracle_property, ppr_oracle_property, relax_oracle_property, NaiveOccupancy,
+    free_oracle_property, ppr_oracle_property, relax_oracle_property, NaiveFree, NaiveOccupancy,
+    NaiveRelax,
 };
 use relaxfault_util::prop::{self, Source};
 use relaxfault_util::{prop_assert, prop_assert_eq};
@@ -115,6 +119,89 @@ fn seeded_rollback_mutation_is_caught() {
     assert!(
         ce.is_some(),
         "the dropped rollback must be caught by the differential harness"
+    );
+}
+
+/// A deliberately broken region-level admission: it ignores the list of
+/// intersecting regions and counts every line of every region as fresh,
+/// so a line an accepted region — or an earlier region of the same fault —
+/// already locked is counted twice.
+struct DoubleCounting {
+    max_ways: u32,
+    per_set: Vec<u32>,
+    lines: u64,
+}
+
+impl DoubleCounting {
+    fn new(llc: &CacheConfig, max_ways: u32) -> Self {
+        Self {
+            max_ways,
+            per_set: vec![0; llc.sets() as usize],
+            lines: 0,
+        }
+    }
+
+    /// Admits one fault's `(set, key)` lines atomically.
+    fn try_add(&mut self, cand: &[(u64, u64)]) -> bool {
+        let mut add = vec![0u32; self.per_set.len()];
+        for &(set, _) in cand {
+            add[set as usize] += 1; // BUG under test: no overlap check
+        }
+        if add
+            .iter()
+            .zip(&self.per_set)
+            .any(|(a, c)| a + c > self.max_ways)
+        {
+            return false;
+        }
+        for (c, a) in self.per_set.iter_mut().zip(add) {
+            *c += a;
+        }
+        self.lines += cand.len() as u64;
+        true
+    }
+}
+
+/// The generator's overlapping follow-ups reach the intersecting-region
+/// path of both planners: the double-counting mutant diverges from the
+/// naive references on shared RelaxFault colgroups and FreeFault blocks.
+#[test]
+fn seeded_double_count_mutation_is_caught() {
+    let dram = DramConfig::isca16_reliability();
+    let llc = CacheConfig::isca16_llc();
+    let relax = prop::find_counterexample(500, |src: &mut Source| {
+        let max_ways = gen::arb_max_ways(src);
+        let prod = RelaxFault::new(&dram, &llc, max_ways);
+        let mut naive = NaiveRelax::new(&dram, &llc, max_ways);
+        let mut buggy = DoubleCounting::new(&llc, max_ways);
+        for offer in gen::arb_offer_sequence(src, &dram) {
+            let fits = prod.lines_needed(&offer) <= naive.occupancy().budget_ceiling();
+            let a = fits && buggy.try_add(&naive.enumerate(&offer));
+            prop_assert_eq!(a, naive.try_repair(&offer));
+            prop_assert_eq!(buggy.lines, naive.occupancy().lines_used());
+        }
+        Ok(())
+    });
+    let free = prop::find_counterexample(500, |src: &mut Source| {
+        let max_ways = gen::arb_max_ways(src);
+        let prod = FreeFault::new(&dram, &llc, max_ways);
+        let mut naive = NaiveFree::new(&dram, &llc, max_ways);
+        let mut buggy = DoubleCounting::new(&llc, max_ways);
+        for offer in gen::arb_offer_sequence(src, &dram) {
+            let fits = prod.lines_needed(&offer) <= naive.occupancy().budget_ceiling();
+            let a = fits && buggy.try_add(&naive.enumerate(&offer));
+            prop_assert_eq!(a, naive.try_repair(&offer));
+            prop_assert_eq!(buggy.lines, naive.occupancy().lines_used());
+        }
+        Ok(())
+    });
+    assert!(
+        relax.is_some(),
+        "double-counted RelaxFault colgroups must be caught"
+    );
+    assert!(
+        free.is_some(),
+        "double-counted FreeFault blocks must be caught"
     );
 }
 

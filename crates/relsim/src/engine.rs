@@ -1021,4 +1021,86 @@ mod tests {
         assert!(p.faulty_dimms >= p.faulty_nodes);
         assert!(p.multi_device_dimms < p.faulty_dimms);
     }
+
+    /// Golden FNV-1a digest over every `ScenarioResult` field (`f64`
+    /// samples via `to_bits`, repair bytes in sorted order) for the
+    /// Figure 10 arms (1× FIT, no replacement) and the Figures 12–14 arms
+    /// (10× FIT, ReplA and ReplB) at a fixed seed. The expected value was
+    /// recorded with the per-line slot-and-bloom occupancy the planners
+    /// used before region-level admission, so any change to what the
+    /// engine computes shows up here.
+    #[test]
+    fn golden_engine_digest() {
+        use crate::scenario::{Mechanism, ReplacementPolicy};
+        let fig10 = Scenario::isca16_baseline().with_replacement(ReplacementPolicy::None);
+        let mut arms = vec![fig10.clone().with_mechanism(Mechanism::Ppr)];
+        for ways in [1, 4, 16] {
+            arms.push(
+                fig10
+                    .clone()
+                    .with_mechanism(Mechanism::FreeFault { max_ways: ways }),
+            );
+            arms.push(
+                fig10
+                    .clone()
+                    .with_mechanism(Mechanism::RelaxFault { max_ways: ways }),
+            );
+        }
+        let fig12 = Scenario::isca16_baseline().with_fit_scale(10.0);
+        let replb = ReplacementPolicy::AfterErrors {
+            trigger_prob: Scenario::REPLB_TRIGGER,
+        };
+        let mut matrix = Vec::new();
+        for m in [
+            Mechanism::None,
+            Mechanism::Ppr,
+            Mechanism::FreeFault { max_ways: 1 },
+            Mechanism::FreeFault { max_ways: 4 },
+            Mechanism::RelaxFault { max_ways: 1 },
+            Mechanism::RelaxFault { max_ways: 4 },
+        ] {
+            matrix.push(fig12.clone().with_mechanism(m));
+            matrix.push(fig12.clone().with_mechanism(m).with_replacement(replb));
+        }
+        let run = |trials| RunConfig {
+            trials,
+            seed: 2016,
+            threads: 2,
+            chunk_size: 0,
+        };
+        let mut results = run_scenarios(&arms, &run(6000));
+        results.extend(run_scenarios(&matrix, &run(3000)));
+        let mut bytes = Vec::new();
+        let mut repaired = 0;
+        for r in &mut results {
+            bytes.extend_from_slice(r.label.as_bytes());
+            for v in [
+                r.trials,
+                r.faulty_nodes,
+                r.fully_repaired_nodes,
+                r.dues,
+                r.transient_dues,
+                r.sdcs,
+                r.replacements,
+                r.unrepaired_faults,
+                r.permanent_faults,
+                u64::from(r.max_ways_seen),
+            ]
+            .into_iter()
+            .chain(r.unrepaired_by_mode)
+            {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            for x in r.repair_bytes.sorted_samples() {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            repaired += r.repair_bytes.len();
+        }
+        assert!(repaired > 0, "the digest must cover repair bytes");
+        assert_eq!(
+            obs::fnv1a(&bytes),
+            16_207_542_056_425_838_941,
+            "engine results changed"
+        );
+    }
 }
