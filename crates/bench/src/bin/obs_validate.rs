@@ -9,11 +9,12 @@
 //! (top-level `kind: "relcheck_repro"`, e.g. under `results/relcheck`),
 //! fleet checkpoints (`kind: "fleet_checkpoint"`, e.g. a `--ckpt-dir`),
 //! crash dumps (`kind: "crash_dump"`, written by the panic hook and
-//! the injected-crash path), farm job manifests (`kind: "farm_job"`,
-//! under `<results>/farm/jobs/`), and farm ledgers (`kind: "farm_state"`)
-//! are validated against their own schemas via the strict [`ReproCase`],
-//! [`FleetCheckpoint`], [`CrashDump`], [`JobManifest`], and
-//! [`FarmLedger`] deserializers; each kind gets its own mixed-version
+//! the injected-crash path), and experiment records
+//! (`kind: "experiment_record"`, under `<results>/records/`) are validated
+//! against their own schemas via the strict [`ReproCase`],
+//! [`FleetCheckpoint`], [`CrashDump`], and [`ExperimentRecord`]
+//! deserializers — the record decoder re-derives each record's digest
+//! from its stored inputs — and each kind gets its own mixed-version
 //! check, separate from the obs one. Folded profiler output (`*.folded`) must be
 //! non-empty `frame[;frame...] count` lines. Perf-history ledgers
 //! (`*.jsonl`, e.g. `results/history/ledger.jsonl`) must strict-parse
@@ -23,7 +24,7 @@
 //! all lines, and satisfy the `util::history` ledger invariants.
 //! Exits non-zero on any violation.
 
-use relaxfault_farm::{FarmLedger, JobManifest, JobStatus};
+use relaxfault_bench::paper::ExperimentRecord;
 use relaxfault_relsim::fleet::{FleetCheckpoint, FLEET_CHECKPOINT_KIND};
 use relaxfault_relsim::repro::{ReproCase, REPRO_KIND};
 use relaxfault_util::crashdump::{self, CrashDump};
@@ -51,37 +52,21 @@ fn object_len(doc: &Value, key: &str) -> Result<usize, String> {
     }
 }
 
-/// Validates one farm job manifest via the strict deserializer, plus: the
-/// manifest's id must match its file stem (the farm writes
-/// `farm/jobs/<id>.json`), and a failed manifest must carry a reason.
-fn validate_farm_job(doc: &Value, path: &Path) -> Result<(), String> {
-    let manifest = JobManifest::from_json(doc)?;
+/// Validates one experiment record via the strict deserializer (which
+/// re-derives the digest from the stored inputs and checks the results'
+/// shape against them), plus: the record's experiment must match its file
+/// stem (`paper` writes `records/<experiment>.json`).
+fn validate_record(doc: &Value, path: &Path) -> Result<(), String> {
+    let record = ExperimentRecord::from_json(doc)?;
     let stem = path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or_default();
-    if manifest.id != stem {
+    if record.experiment.name() != stem {
         return Err(format!(
-            "manifest id {:?} does not match file stem {stem:?}",
-            manifest.id
+            "record of experiment {:?} does not match file stem {stem:?}",
+            record.experiment.name()
         ));
-    }
-    if manifest.status == JobStatus::Failed && manifest.reason.is_none() {
-        return Err("failed manifest carries no reason".into());
-    }
-    Ok(())
-}
-
-/// Validates one farm_state ledger via the strict deserializer, plus: it
-/// must record at least one job, sorted by id (the binary-search upsert
-/// contract).
-fn validate_farm_state(doc: &Value) -> Result<(), String> {
-    let ledger = FarmLedger::from_json(doc)?;
-    if ledger.jobs.is_empty() {
-        return Err("farm_state ledger records no jobs".into());
-    }
-    if !ledger.jobs.windows(2).all(|w| w[0].id < w[1].id) {
-        return Err("farm_state jobs are not strictly sorted by id".into());
     }
     Ok(())
 }
@@ -238,13 +223,9 @@ fn validate_doc(doc: &Value, path: &Path) -> Result<Option<(&'static str, u64)>,
             validate_crash_dump(doc)?;
             "crash dumps"
         }
-        Some(<JobManifest as Persist>::KIND) => {
-            validate_farm_job(doc, path)?;
-            "farm job manifests"
-        }
-        Some(<FarmLedger as Persist>::KIND) => {
-            validate_farm_state(doc)?;
-            "farm ledgers"
+        Some(<ExperimentRecord as Persist>::KIND) => {
+            validate_record(doc, path)?;
+            "experiment records"
         }
         _ => {
             validate_snapshot(doc, path)?;

@@ -1,32 +1,36 @@
-//! Experiment drivers that regenerate every table and figure of the
-//! RelaxFault paper's evaluation.
+//! The harness that regenerates every table and figure of the RelaxFault
+//! paper's evaluation.
 //!
-//! Each `fig*`/`table*` binary under `src/bin/` is a thin wrapper around a
-//! driver here; all of them accept a first positional argument overriding
-//! the Monte Carlo trial count (or instruction count for the performance
-//! figures) and honour `RF_RESULTS_DIR` for where to drop a copy of the
-//! output.
+//! [`paper`] splits the evaluation into eight run-once experiments (the
+//! Monte Carlo and performance-simulation runs) and fourteen outputs that
+//! are pure views over the experiments' persisted records, or over model
+//! constants for Figure 2 and Tables 1, 3 and 4. The `paper` binary runs
+//! the experiments in order and renders every view; `--scale F`
+//! multiplies every work amount and `--resume` reuses each record whose
+//! input digest still matches:
 //!
 //! ```bash
-//! cargo run --release -p relaxfault-bench --bin fig10_coverage -- 100000
+//! cargo run --release -p relaxfault-bench --bin paper
+//! cargo run --release -p relaxfault-bench --bin paper -- --scale 0.01 --resume
 //! ```
+//!
+//! The rest of the crate is the observability harness every binary shares
+//! ([`obs_init`], [`emit`], [`obs_finish`]), the Figure 15/16 drivers in
+//! [`perf`], and the perf-history reporting behind `obs_report`. Output
+//! lands in `RF_RESULTS_DIR` (default `results/`).
 
-use relaxfault_relsim::engine::{fault_population, run_scenarios, RunConfig};
-use relaxfault_relsim::scenario::{Mechanism, ReplacementPolicy, Scenario};
 use relaxfault_util::export;
 use relaxfault_util::json::Value;
-use relaxfault_util::table::{format_bytes, format_pct, Table};
+use relaxfault_util::table::Table;
 use relaxfault_util::{crashdump, history, obs, persist, profiler, serve};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod folded;
+pub mod paper;
 pub mod perf;
 pub mod report;
-
-/// Nodes in the paper's evaluated system.
-pub const SYSTEM_NODES: u64 = 16_384;
 
 /// `--run NAME` override captured by [`obs_init`], consulted by [`emit`].
 static RUN_OVERRIDE: OnceLock<String> = OnceLock::new();
@@ -43,13 +47,29 @@ static LINGER_MS: AtomicU64 = AtomicU64::new(0);
 pub struct BenchArgs {
     work: Option<u64>,
     profiling: bool,
+    own: Vec<(String, String)>,
 }
 
 impl BenchArgs {
-    /// The work amount (trials or instructions): the first positional
-    /// numeric argument, or `default` when none was given.
+    /// The work amount (trials or instructions): the positional
+    /// argument, or `default` when none was given.
     pub fn work(&self, default: u64) -> u64 {
         self.work.unwrap_or(default)
+    }
+
+    /// Whether a positional work amount was given.
+    pub fn has_work(&self) -> bool {
+        self.work.is_some()
+    }
+
+    /// The value of one of the binary's own flags named to
+    /// [`obs_init_with`], if given (the last occurrence wins).
+    pub fn flag(&self, name: &str) -> Option<&str> {
+        self.own
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Whether the span profiler is collecting (`--profile` / `RF_PROF`);
@@ -59,7 +79,14 @@ impl BenchArgs {
     }
 }
 
-/// Standard harness start-up, called first in every `fig*`/`table*` main:
+/// Prints a usage error and exits with status 1.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Standard harness start-up, called first in every harness binary
+/// (`paper`, `fleet_forecast`, the bench targets):
 ///
 /// * `--quiet`/`-q` (or `RF_OBS=off` in the environment, handled by
 ///   `util::obs` itself) turns every trace/metric off regardless of
@@ -87,11 +114,24 @@ impl BenchArgs {
 /// * a crash-dump panic hook is installed (unless `--quiet`/`RF_OBS=off`),
 ///   so any panic drains the flight recorder and metrics into
 ///   `<results>/obs/<run>.crashdump.json`;
-/// * the first positional numeric argument overrides the work amount
-///   (read it back with [`BenchArgs::work`]);
+/// * one positional argument sets the work amount (read it back with
+///   [`BenchArgs::work`]);
 /// * unknown flags (e.g. the `--bench` cargo passes to bench targets) are
 ///   ignored.
+///
+/// A positional argument that is not a non-negative integer, a second
+/// positional argument, and a missing or malformed `--linger-ms` value
+/// exit with status 1 and the bad value named, instead of silently
+/// running the default.
 pub fn obs_init() -> BenchArgs {
+    obs_init_with(&[])
+}
+
+/// [`obs_init`] for a binary with value-taking flags of its own: each
+/// `--flag V` or `--flag=V` named in `own` is captured for
+/// [`BenchArgs::flag`] rather than mistaken for the positional work
+/// amount.
+pub fn obs_init_with(own: &[&str]) -> BenchArgs {
     let mut parsed = BenchArgs::default();
     let mut run = None;
     let mut serve_spec: Option<String> = None;
@@ -99,32 +139,40 @@ pub fn obs_init() -> BenchArgs {
     let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let (key, inline) = match a.split_once('=') {
+            Some((k, v)) if k.starts_with("--") => (k, Some(v.to_string())),
+            _ => (a.as_str(), None),
+        };
+        let mut value = || inline.clone().or_else(|| args.next());
         if a == "--quiet" || a == "-q" {
             obs::set_force_off(true);
-        } else if a == "--run" {
-            run = args.next();
-        } else if let Some(r) = a.strip_prefix("--run=") {
-            run = Some(r.to_string());
-        } else if a == "--serve-obs" {
-            serve_spec = args.next();
-        } else if let Some(s) = a.strip_prefix("--serve-obs=") {
-            serve_spec = Some(s.to_string());
+        } else if key == "--run" {
+            run = value();
+        } else if key == "--serve-obs" {
+            serve_spec = value();
         } else if a == "--profile" {
             profile = true;
-        } else if a == "--lanes" {
-            lanes_spec = args.next();
-        } else if let Some(l) = a.strip_prefix("--lanes=") {
-            lanes_spec = Some(l.to_string());
-        } else if a == "--linger-ms" {
-            if let Some(ms) = args.next().and_then(|v| v.parse().ok()) {
-                LINGER_MS.store(ms, Ordering::Relaxed);
+        } else if key == "--lanes" {
+            lanes_spec = value();
+        } else if key == "--linger-ms" {
+            let v = value().unwrap_or_default();
+            match v.parse() {
+                Ok(ms) => LINGER_MS.store(ms, Ordering::Relaxed),
+                Err(_) => usage_error(&format!("--linger-ms {v:?}: expected milliseconds")),
             }
-        } else if let Some(ms) = a.strip_prefix("--linger-ms=") {
-            if let Ok(ms) = ms.parse() {
-                LINGER_MS.store(ms, Ordering::Relaxed);
+        } else if own.contains(&key) {
+            let v = value().unwrap_or_else(|| usage_error(&format!("{key}: missing value")));
+            parsed.own.push((key.to_string(), v));
+        } else if !a.starts_with('-') {
+            if parsed.work.is_some() {
+                usage_error(&format!("unexpected extra argument {a:?}"));
             }
-        } else if parsed.work.is_none() && !a.starts_with('-') {
-            parsed.work = a.parse().ok();
+            match a.parse() {
+                Ok(w) => parsed.work = Some(w),
+                Err(_) => usage_error(&format!(
+                    "work argument {a:?}: expected a non-negative integer"
+                )),
+            }
         }
     }
     if let Some(r) = run {
@@ -208,7 +256,7 @@ pub fn current_run_name() -> String {
     run_name(&default)
 }
 
-/// Standard harness shutdown, called last in every `fig*`/`table*` main:
+/// Standard harness shutdown, called last in every harness binary:
 /// appends the run's metrics snapshot to the perf-history ledger
 /// (`<results>/history/ledger.jsonl`), harvests the span profiler into
 /// `<results>/obs/<run>.folded`, keeps the live endpoint answering
@@ -288,7 +336,7 @@ fn run_name(default: &str) -> String {
 /// # Errors
 ///
 /// Returns the first directory-creation or file-write failure, with the
-/// failing path in the message; the figure binaries exit non-zero on it.
+/// failing path in the message; `paper` exits non-zero on it.
 pub fn emit(name: &str, title: &str, table: &Table) -> std::io::Result<()> {
     println!("== {title} ==");
     print!("{}", table.render());
@@ -332,282 +380,43 @@ fn write(path: String, text: String) -> std::io::Result<String> {
     Ok(path)
 }
 
-fn default_run(trials: u64) -> RunConfig {
-    RunConfig {
-        trials,
-        seed: 2016,
-        threads: num_threads(),
-        chunk_size: 0,
-    }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Figure 8: repair coverage of RelaxFault and FreeFault with and without
-/// XOR set-index hashing, at most one repair way per set.
-pub fn fig08_hashing(trials: u64) -> Table {
-    let base = Scenario::isca16_baseline().with_replacement(ReplacementPolicy::None);
-    let arms = vec![
-        base.clone()
-            .with_mechanism(Mechanism::FreeFault { max_ways: 1 })
-            .without_set_hashing(),
-        base.clone()
-            .with_mechanism(Mechanism::FreeFault { max_ways: 1 }),
-        base.clone()
-            .with_mechanism(Mechanism::RelaxFault { max_ways: 1 })
-            .without_set_hashing(),
-        base.with_mechanism(Mechanism::RelaxFault { max_ways: 1 }),
-    ];
-    let results = run_scenarios(&arms, &default_run(trials));
-    let paper = ["74.0%", "84.2%", "89.0%", "90.3%"];
-    let labels = [
-        "FreeFault (no hash)",
-        "FreeFault (hash)",
-        "RelaxFault (no hash)",
-        "RelaxFault (hash)",
-    ];
-    let mut t = Table::new(&["mechanism", "coverage", "paper"]);
-    for ((label, r), p) in labels.iter().zip(&results).zip(paper) {
-        t.row(&[label.to_string(), format_pct(r.coverage()), p.to_string()]);
-    }
-    t
-}
-
-/// Figures 10/11: cumulative repair coverage vs required LLC capacity.
-/// `fit_scale` is 1 (Figure 10) or 10 (Figure 11).
-pub fn coverage_curves(fit_scale: f64, trials: u64) -> Table {
-    let base = Scenario::isca16_baseline()
-        .with_replacement(ReplacementPolicy::None)
-        .with_fit_scale(fit_scale);
-    let mut arms = vec![base.clone().with_mechanism(Mechanism::Ppr)];
-    for ways in [1, 4, 16] {
-        arms.push(
-            base.clone()
-                .with_mechanism(Mechanism::FreeFault { max_ways: ways }),
-        );
-    }
-    for ways in [1, 4, 16] {
-        arms.push(
-            base.clone()
-                .with_mechanism(Mechanism::RelaxFault { max_ways: ways }),
-        );
-    }
-    let mut results = run_scenarios(&arms, &default_run(trials));
-
-    let caps: Vec<u64> = vec![
-        64,
-        16 << 10,
-        32 << 10,
-        64 << 10,
-        82 << 10,
-        128 << 10,
-        192 << 10,
-        256 << 10,
-        512 << 10,
-        1 << 20,
-        2 << 20,
-    ];
-    let mut headers = vec!["capacity".to_string()];
-    headers.extend(results.iter().map(|r| r.label.clone()));
-    let mut t = Table::new(&headers);
-    for cap in caps {
-        let mut row = vec![format_bytes(cap)];
-        for r in results.iter_mut() {
-            // PPR uses no LLC: its coverage is flat.
-            let v = if r.label == "PPR" {
-                r.coverage()
-            } else {
-                r.coverage_at_bytes(cap)
-            };
-            row.push(format_pct(v));
-        }
-        t.row(&row);
-    }
-    let mut tail = vec!["(way-limit only)".to_string()];
-    for r in &results {
-        tail.push(format_pct(r.coverage()));
-    }
-    t.row(&tail);
-    t
-}
-
-/// Figure 9: sensitivity of the refined fault model. Returns the
-/// acceleration-factor sweep (9a/9b) and the accelerated-fraction sweep
-/// (9c/9d).
-pub fn fig09_sensitivity(trials: u64) -> (Table, Table) {
-    let factor_sweep = [1.0, 50.0, 100.0, 150.0, 200.0];
-    let mut a = Table::new(&[
-        "acceleration",
-        "faulty nodes",
-        "multi-device DIMMs",
-        "DUEs",
-        "SDCs",
-        "replacements",
-    ]);
-    for f in factor_sweep {
-        let mut scenario = Scenario::isca16_baseline();
-        scenario.fault_model.variation.accel_factor = f;
-        push_sensitivity_row(&mut a, &format!("{f:.0}x"), scenario, trials);
-    }
-
-    let fraction_sweep = [0.0, 0.0001, 0.001, 0.002, 0.003, 0.005];
-    let mut b = Table::new(&[
-        "accel fraction",
-        "faulty nodes",
-        "multi-device DIMMs",
-        "DUEs",
-        "SDCs",
-        "replacements",
-    ]);
-    for p in fraction_sweep {
-        let mut scenario = Scenario::isca16_baseline();
-        scenario.fault_model.variation.accel_node_fraction = p;
-        scenario.fault_model.variation.accel_dimm_fraction = p;
-        push_sensitivity_row(&mut b, &format!("{:.2}%", p * 100.0), scenario, trials);
-    }
-    (a, b)
-}
-
-fn push_sensitivity_row(t: &mut Table, label: &str, scenario: Scenario, trials: u64) {
-    let pop = fault_population(
-        &scenario.fault_model,
-        &scenario.dram,
-        trials,
-        2016,
-        num_threads(),
-    );
-    let arms = vec![scenario];
-    let r = &run_scenarios(&arms, &default_run(trials))[0];
-    t.row(&[
-        label.to_string(),
-        format!("{:.0}", pop.per_system(pop.faulty_nodes, SYSTEM_NODES)),
-        format!(
-            "{:.0}",
-            pop.per_system(pop.multi_device_dimms, SYSTEM_NODES)
-        ),
-        format!("{:.2}", r.dues_per_system(SYSTEM_NODES)),
-        format!("{:.4}", r.sdcs_per_system(SYSTEM_NODES)),
-        format!("{:.2}", r.replacements_per_system(SYSTEM_NODES)),
-    ]);
-}
-
-/// Figures 12–14: expected DUEs, SDCs, and DIMM replacements per
-/// 16,384-node system over 6 years, for a repair-mechanism matrix.
-pub struct ReliabilityTables {
-    /// Figure 12 (DUEs).
-    pub dues: Table,
-    /// Figure 13 (SDCs).
-    pub sdcs: Table,
-    /// Figure 14, ReplA policy (replace after a non-transient DUE).
-    pub replacements_after_due: Table,
-    /// Figure 14, ReplB policy (replace after an error-threshold crossing).
-    pub replacements_after_errors: Table,
-}
-
-/// Runs the Figures 12–14 matrix at one FIT scale.
-pub fn reliability_matrix(fit_scale: f64, trials: u64) -> ReliabilityTables {
-    let base = Scenario::isca16_baseline().with_fit_scale(fit_scale);
-    let replb = ReplacementPolicy::AfterErrors {
-        trigger_prob: Scenario::REPLB_TRIGGER,
-    };
-    let mechanisms: Vec<(&str, Vec<Mechanism>)> = vec![
-        ("No repair", vec![Mechanism::None]),
-        ("PPR", vec![Mechanism::Ppr]),
-        (
-            "FreeFault",
-            vec![
-                Mechanism::FreeFault { max_ways: 1 },
-                Mechanism::FreeFault { max_ways: 4 },
-            ],
-        ),
-        (
-            "RelaxFault",
-            vec![
-                Mechanism::RelaxFault { max_ways: 1 },
-                Mechanism::RelaxFault { max_ways: 4 },
-            ],
-        ),
-    ];
-    // Build one flat arm list per policy.
-    let mut arms = Vec::new();
-    for (_, ms) in &mechanisms {
-        for m in ms {
-            arms.push(base.clone().with_mechanism(*m)); // ReplA default
-        }
-    }
-    let n_repla = arms.len();
-    for (_, ms) in &mechanisms {
-        for m in ms {
-            arms.push(base.clone().with_mechanism(*m).with_replacement(replb));
-        }
-    }
-    let results = run_scenarios(&arms, &default_run(trials));
-
-    let headers = ["mechanism", "no-repair/1-way", "4-way"];
-    let mut dues = Table::new(&headers);
-    let mut sdcs = Table::new(&headers);
-    let mut repla = Table::new(&headers);
-    let mut replb_t = Table::new(&headers);
-    let mut idx = 0;
-    let mut rows: Vec<(String, Vec<usize>)> = Vec::new();
-    for (name, ms) in &mechanisms {
-        let idxs: Vec<usize> = (0..ms.len()).map(|k| idx + k).collect();
-        idx += ms.len();
-        rows.push((name.to_string(), idxs));
-    }
-    for (name, idxs) in &rows {
-        let cell = |t: &mut Table, f: &dyn Fn(usize) -> f64| {
-            let one = f(idxs[0]);
-            let four = if idxs.len() > 1 {
-                format!("{:.3}", f(idxs[1]))
-            } else {
-                "-".into()
-            };
-            t.row(&[name.clone(), format!("{one:.3}"), four]);
-        };
-        cell(&mut dues, &|i| results[i].dues_per_system(SYSTEM_NODES));
-        cell(&mut sdcs, &|i| results[i].sdcs_per_system(SYSTEM_NODES));
-        cell(&mut repla, &|i| {
-            results[i].replacements_per_system(SYSTEM_NODES)
-        });
-        cell(&mut replb_t, &|i| {
-            results[n_repla + i].replacements_per_system(SYSTEM_NODES)
-        });
-    }
-    ReliabilityTables {
-        dues,
-        sdcs,
-        replacements_after_due: repla,
-        replacements_after_errors: replb_t,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::paper::{self, Experiment, ExperimentRecord};
+
+    fn views(exp: Experiment, work: u64) -> Vec<paper::View> {
+        paper::views(&ExperimentRecord::compute(exp, work))
+    }
 
     #[test]
     fn fig08_smoke() {
-        let t = fig08_hashing(400);
-        assert_eq!(t.len(), 4);
-        assert!(t.render().contains("RelaxFault (hash)"));
+        let v = views(Experiment::Hashing, 400);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].table.len(), 4);
+        assert!(v[0].table.render().contains("RelaxFault (hash)"));
     }
 
     #[test]
     fn coverage_table_shape() {
-        let t = coverage_curves(1.0, 400);
-        assert!(t.len() >= 11);
-        assert!(t.render().contains("82KiB"));
+        let v = views(Experiment::Coverage1x, 400);
+        assert_eq!(v[0].name, "fig10_coverage");
+        assert!(v[0].table.len() >= 11);
+        assert!(v[0].table.render().contains("82KiB"));
     }
 
     #[test]
     fn reliability_matrix_shape() {
-        let r = reliability_matrix(1.0, 400);
-        assert_eq!(r.dues.len(), 4);
-        assert_eq!(r.replacements_after_errors.len(), 4);
+        let v = views(Experiment::Reliability1x, 400);
+        let names: Vec<&str> = v.iter().map(|v| v.name).collect();
+        assert_eq!(
+            names,
+            [
+                "fig12a_dues_1x",
+                "fig13a_sdcs_1x",
+                "fig14a_repl_due_1x",
+                "fig14c_repl_errors_1x"
+            ]
+        );
+        assert!(v.iter().all(|v| v.table.len() == 4));
     }
 }

@@ -2,6 +2,9 @@
 
 use relaxfault_perfsim::workload::catalog;
 use relaxfault_perfsim::{CapacityLoss, SimConfig, Simulation, WeightedSpeedup, Workload};
+use relaxfault_util::json::Value;
+use relaxfault_util::obs;
+use relaxfault_util::persist;
 use relaxfault_util::table::Table;
 
 /// The paper's Figure 15 capacity sweep.
@@ -13,7 +16,7 @@ pub const LOSSES: [CapacityLoss; 4] = [
 ];
 
 /// One workload's results across the capacity sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
     /// Workload name.
     pub name: String,
@@ -24,15 +27,57 @@ pub struct PerfRow {
     pub relative_power_pct: Vec<f64>,
 }
 
+impl PerfRow {
+    /// Lossless JSON form: every `f64` as the hex string of its bits.
+    pub fn to_json(&self) -> Value {
+        let bits =
+            |xs: &[f64]| Value::Array(xs.iter().map(|x| persist::hex(x.to_bits())).collect());
+        Value::object([
+            ("name", Value::from(self.name.as_str())),
+            ("weighted_speedup", bits(&self.weighted_speedup)),
+            ("relative_power_pct", bits(&self.relative_power_pct)),
+        ])
+    }
+
+    /// Decodes [`PerfRow::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing or malformed field.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let floats = |key: &str| -> Result<Vec<f64>, String> {
+            let xs = v
+                .get(key)
+                .and_then(Value::as_array)
+                .filter(|xs| xs.len() == LOSSES.len())
+                .ok_or_else(|| format!("{key} must be an array of {} values", LOSSES.len()))?;
+            xs.iter()
+                .map(|x| {
+                    persist::parse_hex(x)
+                        .map(f64::from_bits)
+                        .ok_or_else(|| format!("{key} entries must be hex f64 bits"))
+                })
+                .collect()
+        };
+        Ok(Self {
+            name: v
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or("name must be a string")?
+                .to_string(),
+            weighted_speedup: floats("weighted_speedup")?,
+            relative_power_pct: floats("relative_power_pct")?,
+        })
+    }
+}
+
 /// Runs every Table 4 workload across the Figure 15 capacity sweep.
 ///
 /// Solo IPCs (the Equation 2 denominator) are measured by running each
 /// core's benchmark alone on the full machine.
 pub fn performance_sweep(instructions_per_core: u64, seed: u64) -> Vec<PerfRow> {
-    let cfg = SimConfig {
-        instructions_per_core,
-        ..SimConfig::isca16()
-    };
+    obs::counter("bench.performance_sweep.calls").inc();
+    let cfg = sweep_config(instructions_per_core);
     let mut rows = Vec::new();
     for w in catalog::all() {
         let solo = solo_ipcs(&cfg, &w, seed);
@@ -55,6 +100,14 @@ pub fn performance_sweep(instructions_per_core: u64, seed: u64) -> Vec<PerfRow> 
         });
     }
     rows
+}
+
+/// The machine [`performance_sweep`] simulates.
+pub fn sweep_config(instructions_per_core: u64) -> SimConfig {
+    SimConfig {
+        instructions_per_core,
+        ..SimConfig::isca16()
+    }
 }
 
 /// Measures each distinct benchmark's solo IPC and maps it back onto the
@@ -154,6 +207,7 @@ mod tests {
             assert_eq!(r.weighted_speedup.len(), LOSSES.len());
             assert!((r.relative_power_pct[0] - 100.0).abs() < 1e-9);
             assert!(r.weighted_speedup.iter().all(|&w| w > 0.0 && w <= 8.5));
+            assert_eq!(&PerfRow::from_json(&r.to_json()).unwrap(), r);
         }
         let t15 = fig15_table(&rows);
         let t16 = fig16_table(&rows);

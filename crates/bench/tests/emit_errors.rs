@@ -1,5 +1,5 @@
-//! A figure binary whose results directory cannot be created must fail
-//! loudly: non-zero exit, with the failing path on stderr. (The results
+//! `paper` must fail loudly when its results directory cannot be
+//! created: non-zero exit, with the failing path on stderr. (The results
 //! root sits *under a regular file*, which fails for every user, root
 //! included — unlike a permission-based setup.)
 
@@ -13,12 +13,12 @@ fn unwritable_results_dir_fails_the_run_and_names_the_path() {
     let file = dir.join("not_a_dir");
     std::fs::write(&file, "a regular file").unwrap();
     let results = file.join("results");
-    let out = Command::new(env!("CARGO_BIN_EXE_table3_config"))
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
         .env("RF_RESULTS_DIR", &results)
         .env_remove("RF_OBS_ADDR")
         .env_remove("RF_RUN_NAME")
         .output()
-        .expect("table3_config runs");
+        .expect("paper runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "write error was swallowed: {stderr}");
     assert!(

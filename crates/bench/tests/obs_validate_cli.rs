@@ -1,13 +1,14 @@
 //! Drives the `obs_validate` binary over hand-built artifact directories:
-//! a valid snapshot directory passes, and the three corruptions the CI
-//! gates inject — a truncated crash dump, a ledger whose final newline
-//! was cut, and farm job manifests of mixed schema versions — are each
-//! rejected with the offending file named.
+//! a valid snapshot directory and a valid experiment-record directory
+//! pass, and the corruptions the CI gates and a killed or tampered run
+//! leave behind — a truncated crash dump, a ledger whose final newline
+//! was cut, a truncated record, records of mixed schema versions, and a
+//! record whose digest does not match its inputs — are each rejected
+//! with the offending file named.
 
-use relaxfault_farm::{JobManifest, JobRole, JobStatus};
+use relaxfault_bench::paper::{Experiment, ExperimentRecord};
 use relaxfault_util::crashdump::CrashDump;
 use relaxfault_util::history::HistoryEntry;
-use relaxfault_util::json::Value;
 use relaxfault_util::persist::Persist;
 use std::path::Path;
 use std::process::Command;
@@ -97,46 +98,66 @@ fn ledger_with_cut_final_newline_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn farm_job_manifests_of_mixed_schema_versions_are_rejected() {
-    let dir = scratch_dir("validate_farm_jobs");
-    let manifest = |id: &str, version: u64| {
-        let doc = JobManifest {
-            id: id.into(),
-            digest: 7,
-            role: JobRole::Job,
-            status: JobStatus::Ok,
-            attempts: 1,
-            deps: Vec::new(),
-            cost: 1,
-            reason: None,
-            repro: None,
-        }
-        .to_json();
-        let Value::Object(pairs) = doc else {
-            unreachable!("manifests are objects")
-        };
-        let pairs = pairs
-            .into_iter()
-            .map(|(k, v)| match k.as_str() {
-                "schema_version" => (k, Value::from(version)),
-                _ => (k, v),
-            })
-            .collect();
-        std::fs::write(
-            dir.join(format!("{id}.json")),
-            Value::Object(pairs).to_pretty(),
-        )
-        .unwrap();
-    };
-    manifest("table3_config", 1);
-    manifest("fig08_hashing", 1);
-    let (code, text) = validate(&dir);
-    assert_eq!(code, 0, "same-version manifests must pass: {text}");
+/// Writes valid records of two cheap experiments into `dir`; returns
+/// the JSON text of each, by experiment name.
+fn write_records(dir: &Path) -> Vec<(&'static str, String)> {
+    [Experiment::Hashing, Experiment::Coverage1x]
+        .into_iter()
+        .map(|exp| {
+            let text = ExperimentRecord::compute(exp, 50).to_json().to_pretty();
+            std::fs::write(dir.join(format!("{}.json", exp.name())), &text).unwrap();
+            (exp.name(), text)
+        })
+        .collect()
+}
 
-    manifest("fig08_hashing", 2);
+#[test]
+fn valid_record_directory_passes_and_truncated_record_fails() {
+    let dir = scratch_dir("validate_records");
+    let records = write_records(&dir);
+    let (code, text) = validate(&dir);
+    assert_eq!(code, 0, "{text}");
+    assert!(text.contains("2 artifact(s), 0 failure(s)"), "{text}");
+
+    let (name, whole) = &records[1];
+    std::fs::write(dir.join(format!("{name}.json")), &whole[..whole.len() / 2]).unwrap();
     let (code, text) = validate(&dir);
     assert_ne!(code, 0, "{text}");
-    assert!(text.contains("FAILED"), "{text}");
+    assert!(text.contains("FAILED") && text.contains(name), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn experiment_records_of_mixed_schema_versions_are_rejected() {
+    let dir = scratch_dir("validate_record_versions");
+    let records = write_records(&dir);
+    let (name, text) = &records[1];
+    let newer = text.replacen("\"schema_version\": 1", "\"schema_version\": 2", 1);
+    assert_ne!(&newer, text);
+    std::fs::write(dir.join(format!("{name}.json")), newer).unwrap();
+    let (code, out) = validate(&dir);
+    assert_ne!(code, 0, "{out}");
+    assert!(out.contains("FAILED") && out.contains(name), "{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn record_whose_digest_does_not_match_its_inputs_is_rejected() {
+    let dir = scratch_dir("validate_record_digest");
+    let records = write_records(&dir);
+    let (name, text) = &records[0];
+    // One arm's configuration digest changes: still well-formed, but the
+    // stored digest no longer covers these inputs.
+    let at = text.find("\"config\": \"0x").expect("an arm config") + 13;
+    let mut tampered = text.clone();
+    let digit = if &text[at..=at] == "0" { "1" } else { "0" };
+    tampered.replace_range(at..=at, digit);
+    std::fs::write(dir.join(format!("{name}.json")), tampered).unwrap();
+    let (code, out) = validate(&dir);
+    assert_ne!(code, 0, "{out}");
+    assert!(
+        out.contains("FAILED") && out.contains(name) && out.contains("does not match its inputs"),
+        "{out}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,13 +6,16 @@
 //! Trials are deterministic in `(seed, trial index)` regardless of thread
 //! count.
 
+use crate::fleet::FleetMetrics;
 use crate::node::{evaluate_node_with, EvalScratch};
 use crate::repro::{trial_digest, ReproCase};
 use crate::scenario::Scenario;
 use relaxfault_dram::DramConfig;
 use relaxfault_faults::{FaultMode, FaultModel, FaultSampler, NodeFaults};
+use relaxfault_util::json::Value;
 use relaxfault_util::lanes::{self, Lane, LaneMode};
 use relaxfault_util::obs::{self, Counter, Histogram, Level};
+use relaxfault_util::persist;
 use relaxfault_util::rng::{first_u64_from_seed, mix64, Rng64};
 use relaxfault_util::stats::{wilson_interval, Ecdf};
 use relaxfault_util::trace_event;
@@ -187,6 +190,129 @@ impl ScenarioResult {
     pub fn replacements_per_system(&self, nodes: u64) -> f64 {
         self.per_system(self.replacements, nodes)
     }
+
+    /// The repair-bytes multiset in ascending order as `(f64 bits, count)`
+    /// pairs: the lossless, merge-order-independent form of the ECDF.
+    pub fn repair_bytes_counts(&self) -> Vec<(u64, u64)> {
+        let mut ecdf = self.repair_bytes.clone();
+        let mut counts: Vec<(u64, u64)> = Vec::new();
+        for x in ecdf.sorted_samples() {
+            match counts.last_mut() {
+                Some((bits, n)) if *bits == x.to_bits() => *n += 1,
+                _ => counts.push((x.to_bits(), 1)),
+            }
+        }
+        counts
+    }
+
+    /// Lossless JSON form for result records: the integer counters through
+    /// [`FleetMetrics`]'s codec (the repair-byte distribution collapsed to
+    /// its total), plus the label, the trial count, and the repair-bytes
+    /// multiset as `[hex f64 bits, count]` pairs.
+    pub fn to_json(&self) -> Value {
+        let counts = self.repair_bytes_counts();
+        let mut v = FleetMetrics {
+            faulty_nodes: self.faulty_nodes,
+            fully_repaired_nodes: self.fully_repaired_nodes,
+            repair_bytes_total: repair_bytes_total(&counts),
+            dues: self.dues,
+            transient_dues: self.transient_dues,
+            sdcs: self.sdcs,
+            replacements: self.replacements,
+            unrepaired_faults: self.unrepaired_faults,
+            permanent_faults: self.permanent_faults,
+            max_ways_seen: self.max_ways_seen,
+            unrepaired_by_mode: self.unrepaired_by_mode,
+        }
+        .to_json();
+        v.set("label", Value::from(self.label.as_str()));
+        v.set("trials", Value::from(self.trials));
+        v.set(
+            "repair_bytes",
+            Value::Array(
+                counts
+                    .iter()
+                    .map(|&(bits, n)| Value::Array(vec![persist::hex(bits), Value::from(n)]))
+                    .collect(),
+            ),
+        );
+        v
+    }
+
+    /// Decodes [`ScenarioResult::to_json`], checking that the stored
+    /// `repair_bytes_total` matches the decoded multiset.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing, malformed, or inconsistent field.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let m = FleetMetrics::from_json(v)?;
+        let pairs = v
+            .get("repair_bytes")
+            .and_then(Value::as_array)
+            .ok_or("repair_bytes must be an array")?;
+        let mut counts = Vec::with_capacity(pairs.len());
+        for p in pairs {
+            let (bits, n) = match p.as_array() {
+                Some([bits, n]) => (bits, n),
+                _ => return Err("repair_bytes entries must be [bits, count] pairs".into()),
+            };
+            let bits = persist::parse_hex(bits).ok_or("repair_bytes bits must be hex strings")?;
+            let n = n
+                .as_f64()
+                .filter(|n| *n >= 1.0 && *n == n.trunc() && *n < 9e15)
+                .ok_or("repair_bytes counts must be positive integers")? as u64;
+            if counts.last().is_some_and(|&(prev, _)| {
+                f64::from_bits(prev).total_cmp(&f64::from_bits(bits)) != std::cmp::Ordering::Less
+            }) {
+                return Err("repair_bytes must be strictly ascending".into());
+            }
+            counts.push((bits, n));
+        }
+        if repair_bytes_total(&counts) != m.repair_bytes_total {
+            return Err("repair_bytes_total does not match the repair_bytes multiset".into());
+        }
+        // One sample per fully repaired node; checked before allocating.
+        let samples: u64 = counts.iter().map(|&(_, n)| n).sum();
+        let trials = persist::parse_u64_field(v, "trials")?;
+        if samples != m.fully_repaired_nodes || m.fully_repaired_nodes > trials {
+            return Err(format!(
+                "repair_bytes holds {samples} samples for {} fully repaired nodes in {trials} trials",
+                m.fully_repaired_nodes
+            ));
+        }
+        let mut repair_bytes = Ecdf::new();
+        for &(bits, n) in &counts {
+            repair_bytes.extend(std::iter::repeat_n(f64::from_bits(bits), n as usize));
+        }
+        Ok(Self {
+            label: v
+                .get("label")
+                .and_then(Value::as_str)
+                .ok_or("label must be a string")?
+                .to_string(),
+            trials,
+            faulty_nodes: m.faulty_nodes,
+            fully_repaired_nodes: m.fully_repaired_nodes,
+            repair_bytes,
+            dues: m.dues,
+            transient_dues: m.transient_dues,
+            sdcs: m.sdcs,
+            replacements: m.replacements,
+            unrepaired_faults: m.unrepaired_faults,
+            permanent_faults: m.permanent_faults,
+            max_ways_seen: m.max_ways_seen,
+            unrepaired_by_mode: m.unrepaired_by_mode,
+        })
+    }
+}
+
+/// Sum of a repair-bytes multiset, each sample truncated to whole bytes.
+fn repair_bytes_total(counts: &[(u64, u64)]) -> u64 {
+    counts
+        .iter()
+        .map(|&(bits, n)| f64::from_bits(bits) as u64 * n)
+        .sum()
 }
 
 /// Observability handles for the Monte Carlo hot loop, resolved once so
@@ -725,6 +851,30 @@ impl PopulationStats {
     pub fn per_system(&self, count: u64, nodes: u64) -> f64 {
         count as f64 / self.trials as f64 * nodes as f64
     }
+
+    /// JSON form (plain numbers: every count stays far below 2^53).
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("trials", Value::from(self.trials)),
+            ("faulty_nodes", Value::from(self.faulty_nodes)),
+            ("faulty_dimms", Value::from(self.faulty_dimms)),
+            ("multi_device_dimms", Value::from(self.multi_device_dimms)),
+        ])
+    }
+
+    /// Decodes [`PopulationStats::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing or malformed field.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            trials: persist::parse_u64_field(v, "trials")?,
+            faulty_nodes: persist::parse_u64_field(v, "faulty_nodes")?,
+            faulty_dimms: persist::parse_u64_field(v, "faulty_dimms")?,
+            multi_device_dimms: persist::parse_u64_field(v, "multi_device_dimms")?,
+        })
+    }
 }
 
 /// Samples `trials` node lifetimes and reports population statistics.
@@ -1007,6 +1157,45 @@ mod tests {
         assert_eq!(r.bytes_for_coverage(0.5), Some(128));
         assert_eq!(r.bytes_for_coverage(0.9), None);
         assert!((r.per_system(2, 100) - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn result_codec_is_lossless_and_checks_the_byte_total() {
+        let base = Scenario::isca16_baseline().with_replacement(ReplacementPolicy::None);
+        let arms = vec![
+            base.clone().with_mechanism(Mechanism::None),
+            base.with_mechanism(Mechanism::RelaxFault { max_ways: 4 }),
+        ];
+        let mut results = run_scenarios(&arms, &RunConfig::quick(600));
+        // Duplicates and sizes that are not whole lines, merged out of order.
+        results[0]
+            .repair_bytes
+            .extend([100.0, 4097.0, 100.0, 64.0, 4097.0, 100.0]);
+        results[0].fully_repaired_nodes += 6;
+        results[0].faulty_nodes += 6;
+        for r in &results {
+            let text = r.to_json().to_pretty();
+            let back = ScenarioResult::from_json(&Value::parse(&text).unwrap()).unwrap();
+            assert_eq!(&back, r);
+            assert_eq!(back.repair_bytes_counts(), r.repair_bytes_counts());
+        }
+        assert_eq!(
+            results[0].repair_bytes_counts(),
+            [
+                (64f64.to_bits(), 1),
+                (100f64.to_bits(), 3),
+                (4097f64.to_bits(), 2)
+            ]
+        );
+        let text = results[0].to_json().to_string();
+        let off_by_one = text.replace("\"repair_bytes_total\":8558", "\"repair_bytes_total\":8559");
+        assert_ne!(off_by_one, text);
+        let err = ScenarioResult::from_json(&Value::parse(&off_by_one).unwrap()).unwrap_err();
+        assert!(err.contains("repair_bytes_total"), "{err}");
+        let mut miscounted = results[0].clone();
+        miscounted.fully_repaired_nodes += 1;
+        let err = ScenarioResult::from_json(&miscounted.to_json()).unwrap_err();
+        assert!(err.contains("fully repaired nodes"), "{err}");
     }
 
     #[test]

@@ -20,19 +20,21 @@ rm -rf results/obs
 RF_TRACE=relsim=debug cargo test -q --test smoke
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 
-# Determinism drift gate: the same pinned-seed scenario twice must produce
-# identical counters, gauges, histogram counts and work-histogram sums
-# (`obs_report diff`; span timings may jitter and are not compared).
+# Determinism drift gate: the whole paper twice at a reduced scale must
+# produce identical counters, gauges, histogram counts and work-histogram
+# sums (`obs_report diff`; span timings may jitter and are not compared),
+# and the experiment records it leaves must pass the strict validator.
 # Committed artifacts (the engine_hot pre-PR snapshots and verdicts) stay;
 # the snapshots and the CI ledger are scrubbed, so every gate below sees
 # only this run's history.
-rm -rf results/ci/obs results/ci/history results/ci/baselines
+rm -rf results/ci/obs results/ci/history results/ci/baselines results/ci/records
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_a \
-    cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
+    cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.01
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_b \
-    cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
+    cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.01
 cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
     results/ci/obs/drift_a.json results/ci/obs/drift_b.json
+cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/records
 
 # Disabled-path guard: observability must cost <1% of the Monte Carlo
 # inner loop when off (the bench exits non-zero otherwise).
@@ -48,7 +50,7 @@ rm -rf results/ci/relcheck
 cargo run --release -q -p relaxfault-relcheck --bin relcheck -- smoke --cases 25 \
     || exit 3
 if RF_CHECK=1 RF_CHECK_FAIL_TRIAL=0 RF_RESULTS_DIR=results/ci \
-    cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 50; then
+    cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.001; then
     echo "relcheck: forced RF_CHECK failure did not fire" >&2
     exit 3
 fi
@@ -266,58 +268,3 @@ if [ -f results/baselines/engine_hot.json ]; then
     cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/history_gate \
         || exit 6
 fi
-
-# Figure-farm gate: the DAG orchestrator must survive a mid-job crash and
-# resume to the exact artifacts of an uninterrupted run, and an injected
-# deterministic failure must be captured as a replayable ReproCase
-# without stopping the rest of the matrix. Three legs over the mini
-# matrix (table3_config -> fig08_hashing -> fig10_coverage) at
-# --scale=0.02: (1) an uninterrupted reference run, (2) a crash at
-# mid:fig08_hashing (must exit 4) followed by --resume (must exit 0,
-# reference-identical tables and zero-delta `obs_report diff` snapshots),
-# (3) a --fail-job run (must exit 3) whose archived repro replays
-# cleanly. Any failure exits 8.
-rm -rf results/ci/farm_ref results/ci/farm_crash results/ci/farm_fail
-RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
-    run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_ref \
-    || { echo "farm gate: reference run failed" >&2; exit 8; }
-rc=0
-RF_OBS=on RF_FARM_CRASH_AT=mid:fig08_hashing \
-    cargo run --release -q -p relaxfault-bench --bin farm -- \
-    run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_crash \
-    || rc=$?
-[ "$rc" -eq 4 ] || { echo "farm gate: injected crash did not kill the farm (exit $rc)" >&2; exit 8; }
-[ -f results/ci/farm_crash/obs/farm.crashdump.json ] \
-    || { echo "farm gate: crash left no dump" >&2; exit 8; }
-RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
-    run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_crash --resume \
-    || { echo "farm gate: resume did not finish the matrix" >&2; exit 8; }
-grep -q "table3_config,skipped" results/ci/farm_crash/farm_summary.csv \
-    || { echo "farm gate: resume re-ran a completed job" >&2; exit 8; }
-for job in table3_config fig08_hashing fig10_coverage; do
-    cmp -s "results/ci/farm_ref/$job.json" "results/ci/farm_crash/$job.json" \
-        || { echo "farm gate: resumed $job table drifted from the reference" >&2; exit 8; }
-done
-for job in fig08_hashing fig10_coverage; do
-    cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
-        "results/ci/farm_ref/obs/$job.json" "results/ci/farm_crash/obs/$job.json" \
-        || { echo "farm gate: resumed $job metrics drifted" >&2; exit 8; }
-done
-cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/farm_crash/farm \
-    || { echo "farm gate: farm ledger failed validation" >&2; exit 8; }
-cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/farm_crash/farm/jobs \
-    || { echo "farm gate: job manifests failed validation" >&2; exit 8; }
-rc=0
-RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
-    run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_fail \
-    --fail-job=fig08_hashing || rc=$?
-[ "$rc" -eq 3 ] || { echo "farm gate: injected failure did not fail the DAG (exit $rc)" >&2; exit 8; }
-repro=results/ci/farm_fail/farm/jobs/fig08_hashing.repro.json
-[ -f "$repro" ] || { echo "farm gate: no ReproCase archived for the failed job" >&2; exit 8; }
-cargo run --release -q -p relaxfault-relcheck --bin relcheck -- replay "$repro" \
-    || { echo "farm gate: archived ReproCase did not replay" >&2; exit 8; }
-grep -q '"role": "repro"' results/ci/farm_fail/farm/jobs/fig08_hashing-repro.json \
-    || { echo "farm gate: diagnostic job is not marked repro" >&2; exit 8; }
-cargo run --release -q -p relaxfault-bench --bin obs_report -- farm \
-    --results results/ci/farm_crash --check \
-    || { echo "farm gate: resumed farm dashboard reports failures" >&2; exit 8; }
