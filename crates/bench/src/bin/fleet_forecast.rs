@@ -26,10 +26,10 @@
 //! `/flight` while the run executes; `--profile` writes folded stacks at
 //! exit; `--linger-ms` keeps the endpoint up after the work finishes.
 //!
-//! Exit codes: 0 success, 1 usage or result-write error, 4 the run died
-//! (simulated crash or checkpoint failure) — a crash dump with the
-//! newest durable checkpoint embedded lands in `results/obs/`, and the
-//! run resumes with `--resume`.
+//! Exit codes: 0 success, 1 usage error or a failed result or profile
+//! write, 4 the run died (simulated crash or checkpoint failure) — a
+//! crash dump with the newest durable checkpoint embedded lands in
+//! `results/obs/`, and the run resumes with `--resume`.
 
 use relaxfault_bench::emit;
 use relaxfault_relsim::fleet::{crash_at_from_env, latest_checkpoint, FleetConfig, FleetSim};
@@ -175,7 +175,9 @@ fn main() -> ExitCode {
                 Ok(path) => eprintln!("fleet_forecast: crash dump written: {path}"),
                 Err(dump_err) => eprintln!("fleet_forecast: crash dump failed: {dump_err}"),
             }
-            relaxfault_bench::obs_finish();
+            if let Err(e) = relaxfault_bench::obs_finish() {
+                eprintln!("fleet_forecast: {e}");
+            }
             return ExitCode::from(4);
         }
         sim.publish_progress(&args.queries);
@@ -247,6 +249,9 @@ fn main() -> ExitCode {
         eprintln!("fleet_forecast: {e}");
         return ExitCode::from(1);
     }
-    relaxfault_bench::obs_finish();
+    if let Err(e) = relaxfault_bench::obs_finish() {
+        eprintln!("fleet_forecast: {e}");
+        return ExitCode::from(1);
+    }
     ExitCode::SUCCESS
 }

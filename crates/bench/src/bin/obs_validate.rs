@@ -15,20 +15,14 @@
 //! [`FleetCheckpoint`], [`CrashDump`], and [`ExperimentRecord`]
 //! deserializers — the record decoder re-derives each record's digest
 //! from its stored inputs — and each kind gets its own mixed-version
-//! check, separate from the obs one. Folded profiler output (`*.folded`) must be
-//! non-empty `frame[;frame...] count` lines. Perf-history ledgers
-//! (`*.jsonl`, e.g. `results/history/ledger.jsonl`) must strict-parse
-//! line by line (every record the `history_entry` kind with a verified
-//! content digest), end with a newline (a missing one means a truncated
-//! append and fails the file), carry exactly one schema_version across
-//! all lines, and satisfy the `util::history` ledger invariants.
-//! Exits non-zero on any violation.
+//! check, separate from the obs one. Folded profiler output (`*.folded`)
+//! must be non-empty `frame[;frame...] count` lines. Exits non-zero on
+//! any violation.
 
 use relaxfault_bench::paper::ExperimentRecord;
 use relaxfault_relsim::fleet::{FleetCheckpoint, FLEET_CHECKPOINT_KIND};
 use relaxfault_relsim::repro::{ReproCase, REPRO_KIND};
 use relaxfault_util::crashdump::{self, CrashDump};
-use relaxfault_util::history;
 use relaxfault_util::json::Value;
 use relaxfault_util::obs;
 use relaxfault_util::persist::Persist;
@@ -106,36 +100,6 @@ fn validate_folded(path: &Path) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Validates one perf-history ledger: strict line-by-line decode
-/// (truncation and corrupted content digests rejected by
-/// [`history::Ledger::parse_entries`]), a single schema_version across
-/// every line (a mixed-version ledger means two incompatible writers
-/// interleaved and is rejected even though each line may be individually
-/// decodable), and the structural invariants `relcheck ledger` enforces.
-fn validate_ledger(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let entries = history::Ledger::parse_entries(&text)?;
-    if entries.is_empty() {
-        return Err("ledger is empty".into());
-    }
-    let mut versions: BTreeSet<u64> = BTreeSet::new();
-    for (i, line) in text.lines().enumerate() {
-        let doc = Value::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or(format!("line {}: missing schema_version", i + 1))? as u64;
-        versions.insert(version);
-    }
-    if versions.len() > 1 {
-        return Err(format!("mixed schema_versions within ledger: {versions:?}"));
-    }
-    history::check_invariants(&history::Ledger {
-        path: path.to_path_buf(),
-        entries,
-    })
 }
 
 /// Validates one fleet checkpoint via the strict deserializer.
@@ -276,7 +240,7 @@ fn main() {
         .find(|a| !a.starts_with('-'))
         .unwrap_or_else(|| "results/obs".into());
     // A directory scans every artifact inside; a single file (e.g. one
-    // ledger) is validated on its own.
+    // record) is validated on its own.
     let mut paths: Vec<std::path::PathBuf> = if std::path::Path::new(&dir).is_file() {
         vec![std::path::PathBuf::from(&dir)]
     } else {
@@ -303,9 +267,6 @@ fn main() {
         } else if name.ends_with(".folded") {
             checked += 1;
             validate_folded(&path)
-        } else if name.ends_with(".jsonl") {
-            checked += 1;
-            validate_ledger(&path)
         } else if name.ends_with(".json") {
             checked += 1;
             std::fs::read_to_string(&path)

@@ -19,7 +19,8 @@
 //! `relaxfault_bench::obs_init`.
 //!
 //! Exit codes: 0 success; 1 a usage error, a corrupt record, or a write
-//! failure (the message names the file). A failing `RF_CHECK` engine
+//! failure of a result or the folded profile (the message names the
+//! file). A failing `RF_CHECK` engine
 //! check panics after writing its relcheck ReproCase.
 
 use relaxfault_bench::paper::{self, Options, Outcome};
@@ -64,7 +65,10 @@ fn main() -> ExitCode {
                 "paper: {computed} experiment(s) computed, {} reused",
                 outcomes.len() - computed
             );
-            relaxfault_bench::obs_finish();
+            if let Err(e) = relaxfault_bench::obs_finish() {
+                eprintln!("paper: {e}");
+                return ExitCode::from(1);
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -16,13 +16,13 @@
 //!
 //! The rest of the crate is the observability harness every binary shares
 //! ([`obs_init`], [`emit`], [`obs_finish`]), the Figure 15/16 drivers in
-//! [`perf`], and the perf-history reporting behind `obs_report`. Output
-//! lands in `RF_RESULTS_DIR` (default `results/`).
+//! [`perf`], and the folded-profile diff behind `obs_report folded-diff`.
+//! Output lands in `RF_RESULTS_DIR` (default `results/`).
 
 use relaxfault_util::export;
 use relaxfault_util::json::Value;
 use relaxfault_util::table::Table;
-use relaxfault_util::{crashdump, history, obs, persist, profiler, serve};
+use relaxfault_util::{crashdump, obs, persist, profiler, serve};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 pub mod folded;
 pub mod paper;
 pub mod perf;
-pub mod report;
 
 /// `--run NAME` override captured by [`obs_init`], consulted by [`emit`].
 static RUN_OVERRIDE: OnceLock<String> = OnceLock::new();
@@ -105,7 +104,7 @@ fn usage_error(msg: &str) -> ! {
 ///   stacks to `<results>/obs/<run>.folded`;
 /// * `--lanes scalar|u64|u128` (or `RF_LANES` in the environment) pins the
 ///   engine's trial-lane mode; the choice is recorded in the run manifest
-///   so history series stay comparable per lane configuration. An invalid
+///   so snapshots stay comparable per lane configuration. An invalid
 ///   value, or an override arriving after the mode was already pinned to
 ///   something else, exits with an error;
 /// * `--linger-ms N` keeps the endpoint answering for up to `N` ms after
@@ -257,30 +256,17 @@ pub fn current_run_name() -> String {
 }
 
 /// Standard harness shutdown, called last in every harness binary:
-/// appends the run's metrics snapshot to the perf-history ledger
-/// (`<results>/history/ledger.jsonl`), harvests the span profiler into
-/// `<results>/obs/<run>.folded`, keeps the live endpoint answering
-/// through the `--linger-ms` window (a `/quit` request ends it early),
-/// then stops the endpoint. A no-op when neither metrics nor the
-/// profiler nor the endpoint is active.
-pub fn obs_finish() {
-    if obs::metrics_enabled() {
-        let run = current_run_name();
-        let dir = obs::results_dir();
-        // Only runs that actually wrote a snapshot get ledgered; a
-        // ledger failure must not fail the run that produced the data.
-        if std::path::Path::new(&dir)
-            .join("obs")
-            .join(format!("{run}.json"))
-            .exists()
-        {
-            match history::append_run_snapshot(&dir, &run) {
-                Ok(true) => println!("history: ledgered run {run}"),
-                Ok(false) => {}
-                Err(e) => eprintln!("history append failed: {e}"),
-            }
-        }
-    }
+/// harvests the span profiler into `<results>/obs/<run>.folded`, keeps
+/// the live endpoint answering through the `--linger-ms` window (a
+/// `/quit` request ends it early), then stops the endpoint. A no-op when
+/// neither the profiler nor the endpoint is active.
+///
+/// # Errors
+///
+/// Returns a failed write of the folded profile, with the failing path in
+/// the message; the endpoint is stopped either way.
+pub fn obs_finish() -> std::io::Result<()> {
+    let mut result = Ok(());
     if profiler::active() {
         let folded = profiler::stop();
         if folded.is_empty() {
@@ -290,10 +276,9 @@ pub fn obs_finish() {
             let path = std::path::Path::new(&obs::results_dir())
                 .join("obs")
                 .join(format!("{run}.folded"));
-            match persist::atomic_write(&path, &folded) {
-                Ok(()) => println!("profile: {}", path.display()),
-                Err(e) => eprintln!("profile write failed: {e}"),
-            }
+            result = persist::atomic_write(&path, &folded)
+                .map(|()| println!("profile: {}", path.display()))
+                .map_err(std::io::Error::other);
         }
     }
     let server = SERVER
@@ -306,14 +291,7 @@ pub fn obs_finish() {
         }
         server.stop();
     }
-}
-
-/// The run name observability output files under: the `--run` flag if
-/// given, else `RF_RUN_NAME`, else `default`. Public so `harness = false`
-/// bench targets that write their own snapshots (e.g. `engine_hot`) name
-/// runs by the same rules as [`emit`].
-pub fn resolved_run_name(default: &str) -> String {
-    run_name(default)
+    result
 }
 
 /// The run name [`emit`] files observability output under: the `--run`

@@ -12,9 +12,9 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A minimal valid metrics snapshot for `run`: one counter, one gauge,
-/// a span-timing histogram (`*_ns`), a work histogram, and an
-/// `engine_hot.fig10_mix` bench whose median is `bench_scale` × 5 ms.
-pub fn snapshot(run: &str, bench_scale: f64) -> Value {
+/// a span-timing histogram (`*_ns`), a work histogram, and a
+/// `node_eval` bench whose median is 5 ms.
+pub fn snapshot(run: &str) -> Value {
     let histogram = |count: u64, sum: u64| {
         Value::object([
             ("count", Value::from(count)),
@@ -26,7 +26,7 @@ pub fn snapshot(run: &str, bench_scale: f64) -> Value {
             ("max", Value::from(sum / count)),
         ])
     };
-    let median = 5.0e6 * bench_scale;
+    let median = 5.0e6;
     Value::object([
         ("schema_version", Value::from(2u64)),
         (
@@ -63,7 +63,7 @@ pub fn snapshot(run: &str, bench_scale: f64) -> Value {
         (
             "benches",
             Value::object([(
-                "engine_hot.fig10_mix",
+                "node_eval",
                 Value::object([
                     ("median_ns", Value::from(median)),
                     ("iters", Value::from(1u64)),

@@ -1,7 +1,7 @@
-//! The two regression gates of the `obs_report` binary, driven end to
-//! end: `diff` (the zero-delta determinism gate between two snapshots of
-//! the same pinned-seed work) and `report --check` against a committed
-//! baseline (the engine hot-loop gate).
+//! The `obs_report` binary driven end to end: `diff` (the zero-delta
+//! determinism gate between two snapshots of the same pinned-seed work),
+//! `folded-diff` (where the time went between two profiles), and the
+//! usage errors of both.
 
 use relaxfault_util::json::Value;
 use std::path::Path;
@@ -53,7 +53,7 @@ fn write(dir: &Path, name: &str, doc: &Value) -> String {
 #[test]
 fn diff_exit_codes() {
     let dir = scratch_dir("report_diff");
-    let base = snapshot("drift_a", 1.0);
+    let base = snapshot("drift_a");
     let a = write(&dir, "a.json", &base);
     let same = write(&dir, "same.json", &base);
     assert_eq!(obs_report(&["diff", &a, &same]).0, 0);
@@ -62,11 +62,11 @@ fn diff_exit_codes() {
     // the manifests name different runs; none of that is drift.
     let jitter = perturb(
         &perturb(
-            &snapshot("drift_b", 1.0),
+            &snapshot("drift_b"),
             &["histograms", "relsim.trial_ns", "sum"],
             1.0,
         ),
-        &["benches", "engine_hot.fig10_mix", "median_ns"],
+        &["benches", "node_eval", "median_ns"],
         1.0,
     );
     let jitter = write(&dir, "jitter.json", &jitter);
@@ -136,43 +136,76 @@ fn diff_exit_codes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Ledgers one `engine_hot` run whose median is `scale` × the committed
-/// baseline's, then runs `report --check` over that results tree.
-fn check_against_baseline(scale: f64) -> (i32, String) {
-    let dir = scratch_dir(&format!("report_check_{}", (scale * 10.0) as u32));
-    for sub in ["baselines", "obs"] {
-        std::fs::create_dir_all(dir.join(sub)).unwrap();
-    }
-    write(
-        &dir.join("baselines"),
-        "engine_hot.json",
-        &snapshot("engine_hot", 1.0),
-    );
-    write(
-        &dir.join("obs"),
-        "engine_hot.json",
-        &snapshot("engine_hot", scale),
-    );
-    let results = dir.to_str().unwrap();
-    assert_eq!(obs_report(&["ingest", "--results", results]).0, 0);
-    let verdict = obs_report(&["report", "--results", results, "--check"]);
-    std::fs::remove_dir_all(&dir).unwrap();
-    verdict
+/// Writes two small profiles: `relsim.trial` grows by 200 self samples,
+/// `relsim.sample` shrinks by 5, and `relsim.epoch` appears from nowhere
+/// with 20.
+fn two_profiles(dir: &Path) -> (String, String) {
+    let profile = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().expect("utf-8 path").to_string()
+    };
+    (
+        profile(
+            "before.folded",
+            "relsim.run;relsim.trial 100\nrelsim.run;relsim.sample 50\n",
+        ),
+        profile(
+            "after.folded",
+            "relsim.run;relsim.trial 300\nrelsim.run;relsim.sample 45\n\
+             relsim.run;relsim.epoch 20\n",
+        ),
+    )
+}
+
+/// The frame column of each table row, header and total line dropped.
+fn frames(table: &str) -> Vec<&str> {
+    let lines: Vec<&str> = table.lines().collect();
+    assert!(lines.len() >= 2, "no header or total line: {table}");
+    assert!(lines[0].starts_with("frame"), "{table}");
+    assert!(lines[lines.len() - 1].starts_with("total"), "{table}");
+    lines[1..lines.len() - 1]
+        .iter()
+        .map(|l| l.split_whitespace().next().expect("a frame"))
+        .collect()
 }
 
 #[test]
-fn check_fails_past_half_again_the_baseline() {
-    let (code, text) = check_against_baseline(1.6);
-    assert_eq!(code, 1, "{text}");
-    assert!(
-        text.contains("REGRESSION bench:engine_hot.fig10_mix") && text.contains("over baseline"),
+fn folded_diff_prints_the_biggest_mover_first() {
+    let dir = scratch_dir("report_folded");
+    let (before, after) = two_profiles(&dir);
+    let (code, text) = obs_report(&["folded-diff", &before, &after]);
+    assert_eq!(code, 0, "{text}");
+    assert_eq!(
+        frames(&text),
+        ["relsim.trial", "relsim.epoch", "relsim.sample"],
         "{text}"
     );
+    assert!(text.contains("+200"), "{text}");
 
-    // Within the limit, and faster than the baseline, both pass.
-    for scale in [1.2, 0.5] {
-        let (code, text) = check_against_baseline(scale);
-        assert_eq!(code, 0, "{scale}x: {text}");
-        assert!(text.contains("check: clean"), "{text}");
+    let (code, text) = obs_report(&["folded-diff", &before, &after, "--top", "1"]);
+    assert_eq!(code, 0, "{text}");
+    assert_eq!(frames(&text), ["relsim.trial"], "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn folded_diff_and_removed_subcommands_are_usage_errors() {
+    let dir = scratch_dir("report_usage");
+    let (before, after) = two_profiles(&dir);
+    for args in [
+        &["folded-diff", before.as_str()][..],
+        &["folded-diff", &before, &after, "--top", "x"],
+        &["folded-diff", &before, &after, "--top"],
+        &["folded-diff", &before, &after, "--check"],
+        &["ingest"],
+        &["report", "--check"],
+        &[],
+    ] {
+        let (code, text) = obs_report(args);
+        assert_eq!(code, 2, "{args:?}: {text}");
     }
+    let (_, text) = obs_report(&["ingest"]);
+    assert!(text.contains("unknown subcommand"), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

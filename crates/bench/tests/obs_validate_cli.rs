@@ -1,14 +1,12 @@
 //! Drives the `obs_validate` binary over hand-built artifact directories:
 //! a valid snapshot directory and a valid experiment-record directory
 //! pass, and the corruptions the CI gates and a killed or tampered run
-//! leave behind — a truncated crash dump, a ledger whose final newline
-//! was cut, a truncated record, records of mixed schema versions, and a
-//! record whose digest does not match its inputs — are each rejected
-//! with the offending file named.
+//! leave behind — a truncated crash dump, a truncated record, records of
+//! mixed schema versions, and a record whose digest does not match its
+//! inputs — are each rejected with the offending file named.
 
 use relaxfault_bench::paper::{Experiment, ExperimentRecord};
 use relaxfault_util::crashdump::CrashDump;
-use relaxfault_util::history::HistoryEntry;
 use relaxfault_util::persist::Persist;
 use std::path::Path;
 use std::process::Command;
@@ -34,11 +32,7 @@ fn validate(dir: &Path) -> (i32, String) {
 fn valid_snapshot_directory_passes() {
     let dir = scratch_dir("validate_valid");
     for run in ["drift_a", "drift_b"] {
-        std::fs::write(
-            dir.join(format!("{run}.json")),
-            snapshot(run, 1.0).to_pretty(),
-        )
-        .unwrap();
+        std::fs::write(dir.join(format!("{run}.json")), snapshot(run).to_pretty()).unwrap();
     }
     let (code, text) = validate(&dir);
     assert_eq!(code, 0, "{text}");
@@ -63,36 +57,6 @@ fn truncated_crash_dump_is_rejected() {
     assert_ne!(code, 0, "{text}");
     assert!(
         text.contains("FAILED") && text.contains("crash_small"),
-        "{text}"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn ledger_with_cut_final_newline_is_rejected() {
-    let dir = scratch_dir("validate_ledger");
-    let line = HistoryEntry {
-        id: 0,
-        run: "engine_hot".into(),
-        git_sha: "abc".into(),
-        config_hash: 0x50c1_207f_8068_9ff5,
-        threads: 1,
-        wall_clock_ms: 1,
-        benches: vec![("engine_hot.fig10_mix".into(), 5.0e6)],
-        counters: vec![("relsim.trials".into(), 4000)],
-    }
-    .seal()
-    .to_line();
-    let path = dir.join("ledger.jsonl");
-    std::fs::write(&path, &line).unwrap();
-    let (code, text) = validate(&dir);
-    assert_eq!(code, 0, "the whole ledger must pass: {text}");
-
-    std::fs::write(&path, line.trim_end_matches('\n')).unwrap();
-    let (code, text) = validate(&dir);
-    assert_ne!(code, 0, "{text}");
-    assert!(
-        text.contains("FAILED") && text.contains("ledger.jsonl"),
         "{text}"
     );
     std::fs::remove_dir_all(&dir).unwrap();

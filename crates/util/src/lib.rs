@@ -67,7 +67,6 @@ pub mod dist;
 pub mod export;
 pub mod flight;
 pub mod hash;
-pub mod history;
 pub mod json;
 pub mod lanes;
 pub mod obs;

@@ -24,9 +24,7 @@
 //! * **Run manifests** — every snapshot embeds a [`Manifest`] (git SHA,
 //!   cargo profile, thread count, RNG seeds, scenario config hash,
 //!   wall-clock from an injectable clock), so any two runs can be compared
-//!   long after the processes that produced them are gone. The bench
-//!   harness appends every snapshot it writes to the perf-history ledger
-//!   ([`crate::history`]), the one record of what each run produced.
+//!   long after the processes that produced them are gone.
 //!   Simulators publish their parameters through [`note_run_context`];
 //!   bench harnesses publish medians through [`record_bench`]. External
 //!   tool formats (Perfetto traces, Prometheus exposition) are produced by
@@ -1014,7 +1012,7 @@ pub fn git_sha() -> String {
 
 /// What produced a snapshot: enough metadata to decide whether two runs
 /// are comparable (same config and seeds) and to trace a result back to a
-/// commit. Embedded in every snapshot (and distilled into the ledger).
+/// commit. Embedded in every snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Run name (the snapshot's file stem).
@@ -1024,7 +1022,7 @@ pub struct Manifest {
     /// Cargo profile: `"release"` or `"debug"`.
     pub profile: &'static str,
     /// Trial-lane mode of the bit-sliced engine (`"scalar"`, `"u64"`,
-    /// `"u128"`; see [`crate::lanes::mode`]). Recorded so history series
+    /// `"u128"`; see [`crate::lanes::mode`]). Recorded so two snapshots
     /// compare like against like per lane configuration.
     pub lanes: &'static str,
     /// Worker threads the simulators used (0 when none ran).
