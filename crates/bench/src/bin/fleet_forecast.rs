@@ -6,7 +6,7 @@
 //! fleet_forecast [NODES] [--epochs=N] [--shards=N] [--seed=N]
 //!                [--threads=N] [--ckpt-dir=PATH] [--resume]
 //!                [--query=NODES,NODES,...]
-//!                [--serve-obs=ADDR] [--profile] [--linger-ms=N]
+//!                [--serve-obs=ADDR] [--linger-ms=N]
 //! ```
 //!
 //! `NODES` (positional, default 1,000,000) sizes the simulated fleet.
@@ -21,13 +21,14 @@
 //!
 //! The live-plane flags are shared harness flags (see
 //! `relaxfault_bench::obs_init`): `--serve-obs` answers `/health`,
-//! `/metrics`, `/progress` (epoch/shard progress, checkpoint lineage, and
-//! the forecast for each `--query` size, refreshed every boundary), and
-//! `/flight` while the run executes; `--profile` writes folded stacks at
-//! exit; `--linger-ms` keeps the endpoint up after the work finishes.
+//! `/metrics` (the JSON metrics snapshot), `/progress` (epoch/shard
+//! progress, checkpoint lineage, and the forecast for each `--query` size,
+//! refreshed every boundary), and `/flight` (the flight recorder's JSON
+//! event array) while the run executes; `--linger-ms` keeps the endpoint
+//! up after the work finishes.
 //!
-//! Exit codes: 0 success, 1 usage error or a failed result or profile
-//! write, 4 the run died (simulated crash or checkpoint failure) — a
+//! Exit codes: 0 success, 1 usage error or a failed result write, 4 the
+//! run died (simulated crash or checkpoint failure) — a
 //! crash dump with the newest durable checkpoint embedded lands in
 //! `results/obs/`, and the run resumes with `--resume`.
 
@@ -175,9 +176,7 @@ fn main() -> ExitCode {
                 Ok(path) => eprintln!("fleet_forecast: crash dump written: {path}"),
                 Err(dump_err) => eprintln!("fleet_forecast: crash dump failed: {dump_err}"),
             }
-            if let Err(e) = relaxfault_bench::obs_finish() {
-                eprintln!("fleet_forecast: {e}");
-            }
+            relaxfault_bench::obs_finish();
             return ExitCode::from(4);
         }
         sim.publish_progress(&args.queries);
@@ -249,9 +248,6 @@ fn main() -> ExitCode {
         eprintln!("fleet_forecast: {e}");
         return ExitCode::from(1);
     }
-    if let Err(e) = relaxfault_bench::obs_finish() {
-        eprintln!("fleet_forecast: {e}");
-        return ExitCode::from(1);
-    }
+    relaxfault_bench::obs_finish();
     ExitCode::SUCCESS
 }

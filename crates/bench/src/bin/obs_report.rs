@@ -1,61 +1,23 @@
-//! Compares two runs: the determinism gate between two metrics
-//! snapshots, and a per-frame diff of two span-profiler outputs.
+//! Compares two runs: the determinism gate between two metrics snapshots.
 //!
 //! ```text
 //! obs_report diff <a.json> <b.json>
-//! obs_report folded-diff <before.folded> <after.folded> [--top N]
 //! ```
 //!
-//! * `diff` is the determinism gate between two metrics snapshots of the
-//!   same pinned-seed work: every counter, every gauge, every histogram's
-//!   count, and the sum of every histogram not named `*_ns` must be
-//!   exactly equal, and a metric present on one side only counts as
-//!   drift. Span timings (`*_ns` sums) and bench medians jitter and are
-//!   not compared.
-//! * `folded-diff` joins two profiler `.folded` files into a per-frame
-//!   self-time delta table, biggest movers first; `--top N` keeps the
-//!   first `N` rows.
+//! `diff` compares two metrics snapshots of the same pinned-seed work:
+//! every counter, every gauge, every histogram's count, and the sum of
+//! every histogram not named `*_ns` must be exactly equal, and a metric
+//! present on one side only counts as drift. Span timings (`*_ns` sums)
+//! jitter and are not compared.
 //!
 //! Exit codes: `0` clean, `1` drift found by `diff`, `2` usage or I/O
 //! error (including a `diff` input that is missing, unreadable, or not a
 //! metrics snapshot).
 
-use relaxfault_bench::folded;
 use relaxfault_util::json::Value;
 use relaxfault_util::obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
-
-fn folded_diff(mut args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
-    let mut top = usize::MAX;
-    let mut paths = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--top" => {
-                top = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--top needs an integer")?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            _ => paths.push(a),
-        }
-    }
-    let [before_path, after_path] = paths.as_slice() else {
-        return Err("folded-diff needs exactly two .folded paths".into());
-    };
-    let read = |p: &String| {
-        std::fs::read_to_string(p)
-            .map_err(|e| format!("cannot read {p}: {e}"))
-            .and_then(|t| folded::parse(&t).map_err(|e| format!("{p}: {e}")))
-    };
-    let before = read(before_path)?;
-    let after = read(after_path)?;
-    let mut rows = folded::diff(&before, &after);
-    rows.truncate(top);
-    print!("{}", folded::render(&rows));
-    Ok(ExitCode::SUCCESS)
-}
 
 /// The exactly-compared fields of one metrics snapshot, keyed
 /// `"<kind> <name>[ <field>]"`: counters, gauges, every histogram's
@@ -130,13 +92,11 @@ fn diff(args: &[String]) -> Result<ExitCode, String> {
 
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
-    let cmd = args.next().ok_or(
-        "usage: obs_report <diff|folded-diff> [args]\n\
-         see the module docs (or DESIGN.md §6) for the arguments",
-    )?;
+    let cmd = args
+        .next()
+        .ok_or("usage: obs_report diff <a.json> <b.json> (see DESIGN.md §6)")?;
     match cmd.as_str() {
         "diff" => diff(&args.collect::<Vec<_>>()),
-        "folded-diff" => folded_diff(args),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }

@@ -2,8 +2,9 @@
 //! given directory (default `results/obs`) with `util::json`'s strict
 //! parser. Snapshots (`*.json`) must carry the required top-level keys,
 //! the shared `schema_version`, an embedded manifest, and at least one
-//! populated counter or histogram; exported traces (`*.trace.json`) must
-//! be Chrome trace-event arrays (`ph: "X"`, `ts` monotone per track).
+//! populated counter or histogram; event streams (`*.trace.json`) must be
+//! non-empty arrays of `obs::events_to_json` events (string `target`,
+//! `level` and `name`, object `fields`).
 //! Mixed `schema_version`s across the scanned snapshots fail the whole
 //! directory, even if each file is self-consistent. Relcheck repro cases
 //! (top-level `kind: "relcheck_repro"`, e.g. under `results/relcheck`),
@@ -15,9 +16,7 @@
 //! [`FleetCheckpoint`], [`CrashDump`], and [`ExperimentRecord`]
 //! deserializers — the record decoder re-derives each record's digest
 //! from its stored inputs — and each kind gets its own mixed-version
-//! check, separate from the obs one. Folded profiler output (`*.folded`)
-//! must be non-empty `frame[;frame...] count` lines. Exits non-zero on
-//! any violation.
+//! check, separate from the obs one. Exits non-zero on any violation.
 
 use relaxfault_bench::paper::ExperimentRecord;
 use relaxfault_relsim::fleet::{FleetCheckpoint, FLEET_CHECKPOINT_KIND};
@@ -26,16 +25,15 @@ use relaxfault_util::crashdump::{self, CrashDump};
 use relaxfault_util::json::Value;
 use relaxfault_util::obs;
 use relaxfault_util::persist::Persist;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-const REQUIRED_KEYS: [&str; 7] = [
+const REQUIRED_KEYS: [&str; 6] = [
     "schema_version",
     "manifest",
     "counters",
     "gauges",
     "histograms",
-    "benches",
     "dropped_events",
 ];
 
@@ -74,30 +72,6 @@ fn validate_crash_dump(doc: &Value) -> Result<(), String> {
     let dump = CrashDump::from_json(doc)?;
     if let Some(ckpt) = &dump.checkpoint {
         FleetCheckpoint::from_json(ckpt).map_err(|e| format!("embedded checkpoint: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Validates one folded-stack profile: non-empty, every line of the form
-/// `frame[;frame...] count` with a positive integer count.
-fn validate_folded(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    if text.trim().is_empty() {
-        return Err("folded profile is empty".into());
-    }
-    for (i, line) in text.lines().enumerate() {
-        let (stack, count) = line
-            .rsplit_once(' ')
-            .ok_or(format!("line {}: no `stack count` separator", i + 1))?;
-        if stack.is_empty() || stack.split(';').any(str::is_empty) {
-            return Err(format!("line {}: empty stack frame", i + 1));
-        }
-        let n: u64 = count
-            .parse()
-            .map_err(|_| format!("line {}: count {count:?} is not an integer", i + 1))?;
-        if n == 0 {
-            return Err(format!("line {}: zero sample count", i + 1));
-        }
     }
     Ok(())
 }
@@ -203,8 +177,9 @@ fn validate_doc(doc: &Value, path: &Path) -> Result<Option<(&'static str, u64)>,
     Ok(Some((family, version as u64)))
 }
 
-/// Validates one exported Chrome trace: an array of `ph: "X"` complete
-/// events whose `ts` is strictly monotone within each `tid` track.
+/// Validates one event stream: a non-empty array of objects, each with
+/// string `target`, `level` and `name` and an object `fields` — the
+/// schema of `obs::events_to_json`, which crash dumps also embed.
 fn validate_trace(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let doc = Value::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -212,23 +187,14 @@ fn validate_trace(path: &Path) -> Result<(), String> {
     if events.is_empty() {
         return Err("trace has no events".into());
     }
-    let mut last_ts: HashMap<u64, f64> = HashMap::new();
     for (i, e) in events.iter().enumerate() {
-        if e.get("ph").and_then(Value::as_str) != Some("X") {
-            return Err(format!("event {i} is not a `ph: \"X\"` complete event"));
-        }
-        let tid = e
-            .get("tid")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} has no tid"))? as u64;
-        let ts = e
-            .get("ts")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} has no ts"))?;
-        if let Some(prev) = last_ts.insert(tid, ts) {
-            if ts <= prev {
-                return Err(format!("event {i}: ts {ts} not monotone on track {tid}"));
+        for key in ["target", "level", "name"] {
+            if e.get(key).and_then(Value::as_str).is_none() {
+                return Err(format!("event {i} has no string `{key}`"));
             }
+        }
+        if !matches!(e.get("fields"), Some(Value::Object(_))) {
+            return Err(format!("event {i} has no object `fields`"));
         }
     }
     Ok(())
@@ -264,9 +230,6 @@ fn main() {
         let result = if name.ends_with(".trace.json") {
             checked += 1;
             validate_trace(&path)
-        } else if name.ends_with(".folded") {
-            checked += 1;
-            validate_folded(&path)
         } else if name.ends_with(".json") {
             checked += 1;
             std::fs::read_to_string(&path)
@@ -279,7 +242,7 @@ fn main() {
                     }
                 })
         } else {
-            continue; // .prom and friends have their own consumers
+            continue; // not an obs artifact
         };
         match result {
             Ok(()) => println!("ok      {}", path.display()),

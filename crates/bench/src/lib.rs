@@ -16,18 +16,15 @@
 //!
 //! The rest of the crate is the observability harness every binary shares
 //! ([`obs_init`], [`emit`], [`obs_finish`]), the Figure 15/16 drivers in
-//! [`perf`], and the folded-profile diff behind `obs_report folded-diff`.
-//! Output lands in `RF_RESULTS_DIR` (default `results/`).
+//! [`perf`]. Output lands in `RF_RESULTS_DIR` (default `results/`).
 
-use relaxfault_util::export;
 use relaxfault_util::json::Value;
 use relaxfault_util::table::Table;
-use relaxfault_util::{crashdump, obs, persist, profiler, serve};
+use relaxfault_util::{crashdump, obs, serve};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-pub mod folded;
 pub mod paper;
 pub mod perf;
 
@@ -45,7 +42,6 @@ static LINGER_MS: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     work: Option<u64>,
-    profiling: bool,
     own: Vec<(String, String)>,
 }
 
@@ -70,12 +66,6 @@ impl BenchArgs {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Whether the span profiler is collecting (`--profile` / `RF_PROF`);
-    /// [`obs_finish`] will write `<run>.folded`.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
 }
 
 /// Prints a usage error and exits with status 1.
@@ -91,17 +81,14 @@ fn usage_error(msg: &str) -> ! {
 ///   `util::obs` itself) turns every trace/metric off regardless of
 ///   `RF_TRACE`;
 /// * `--run NAME` (or `--run=NAME`, or `RF_RUN_NAME` in the environment)
-///   overrides the run name [`emit`] uses for the obs snapshot, trace, and
-///   Prometheus files — this is how CI writes `drift_a`/`drift_b` from the
-///   same binary;
+///   overrides the run name [`emit`] uses for the obs snapshot and trace
+///   files — this is how CI writes `drift_a`/`drift_b` from the same
+///   binary;
 /// * `--serve-obs PORT` (or `--serve-obs=ADDR`, or `RF_OBS_ADDR` in the
 ///   environment) starts the live telemetry endpoint of
 ///   [`relaxfault_util::serve`] — port `0` binds an OS-assigned port,
 ///   printed on stdout and written to `RF_OBS_ADDR_FILE` when set. Serving
 ///   implies metrics, so `/metrics` always has content;
-/// * `--profile` (or `RF_PROF=on`) starts the self-sampling span profiler
-///   at `RF_PROF_HZ` (default 997 Hz); [`obs_finish`] writes the folded
-///   stacks to `<results>/obs/<run>.folded`;
 /// * `--lanes scalar|u64|u128` (or `RF_LANES` in the environment) pins the
 ///   engine's trial-lane mode; the choice is recorded in the run manifest
 ///   so snapshots stay comparable per lane configuration. An invalid
@@ -109,7 +96,7 @@ fn usage_error(msg: &str) -> ! {
 ///   something else, exits with an error;
 /// * `--linger-ms N` keeps the endpoint answering for up to `N` ms after
 ///   the work completes (until a client requests `/quit`), so pollers can
-///   read final state — the CI smoke gate relies on this;
+///   read final state — the live-endpoint test relies on this;
 /// * a crash-dump panic hook is installed (unless `--quiet`/`RF_OBS=off`),
 ///   so any panic drains the flight recorder and metrics into
 ///   `<results>/obs/<run>.crashdump.json`;
@@ -119,9 +106,9 @@ fn usage_error(msg: &str) -> ! {
 ///   ignored.
 ///
 /// A positional argument that is not a non-negative integer, a second
-/// positional argument, and a missing or malformed `--linger-ms` value
-/// exit with status 1 and the bad value named, instead of silently
-/// running the default.
+/// positional argument, a malformed `--linger-ms` value, and any
+/// value-taking flag given without its value exit with status 1 and the
+/// bad value or flag named, instead of silently running the default.
 pub fn obs_init() -> BenchArgs {
     obs_init_with(&[])
 }
@@ -135,33 +122,34 @@ pub fn obs_init_with(own: &[&str]) -> BenchArgs {
     let mut run = None;
     let mut serve_spec: Option<String> = None;
     let mut lanes_spec: Option<String> = None;
-    let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let (key, inline) = match a.split_once('=') {
             Some((k, v)) if k.starts_with("--") => (k, Some(v.to_string())),
             _ => (a.as_str(), None),
         };
-        let mut value = || inline.clone().or_else(|| args.next());
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .unwrap_or_else(|| usage_error(&format!("{key}: missing value")))
+        };
         if a == "--quiet" || a == "-q" {
             obs::set_force_off(true);
         } else if key == "--run" {
-            run = value();
+            run = Some(value());
         } else if key == "--serve-obs" {
-            serve_spec = value();
-        } else if a == "--profile" {
-            profile = true;
+            serve_spec = Some(value());
         } else if key == "--lanes" {
-            lanes_spec = value();
+            lanes_spec = Some(value());
         } else if key == "--linger-ms" {
-            let v = value().unwrap_or_default();
+            let v = value();
             match v.parse() {
                 Ok(ms) => LINGER_MS.store(ms, Ordering::Relaxed),
                 Err(_) => usage_error(&format!("--linger-ms {v:?}: expected milliseconds")),
             }
         } else if own.contains(&key) {
-            let v = value().unwrap_or_else(|| usage_error(&format!("{key}: missing value")));
-            parsed.own.push((key.to_string(), v));
+            parsed.own.push((key.to_string(), value()));
         } else if !a.starts_with('-') {
             if parsed.work.is_some() {
                 usage_error(&format!("unexpected extra argument {a:?}"));
@@ -219,19 +207,6 @@ pub fn obs_init_with(own: &[&str]) -> BenchArgs {
             }
         }
     }
-    if !profile {
-        profile = std::env::var("RF_PROF")
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true"))
-            .unwrap_or(false);
-    }
-    if profile {
-        let hz = std::env::var("RF_PROF_HZ")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(profiler::DEFAULT_HZ);
-        profiler::start(hz);
-        parsed.profiling = true;
-    }
     if !obs::is_force_off() {
         crashdump::install_panic_hook(&current_run_name());
     }
@@ -239,8 +214,8 @@ pub fn obs_init_with(own: &[&str]) -> BenchArgs {
 }
 
 /// The run name for the current process: `--run` / `RF_RUN_NAME` if given,
-/// else the binary's file stem. This is what the panic hook, crash dumps,
-/// and `obs_finish`'s folded profile file under.
+/// else the binary's file stem. This is what the panic hook and crash
+/// dumps file under.
 pub fn current_run_name() -> String {
     let default = std::env::args()
         .next()
@@ -255,32 +230,11 @@ pub fn current_run_name() -> String {
     run_name(&default)
 }
 
-/// Standard harness shutdown, called last in every harness binary:
-/// harvests the span profiler into `<results>/obs/<run>.folded`, keeps
+/// Standard harness shutdown, called last in every harness binary: keeps
 /// the live endpoint answering through the `--linger-ms` window (a
-/// `/quit` request ends it early), then stops the endpoint. A no-op when
-/// neither the profiler nor the endpoint is active.
-///
-/// # Errors
-///
-/// Returns a failed write of the folded profile, with the failing path in
-/// the message; the endpoint is stopped either way.
-pub fn obs_finish() -> std::io::Result<()> {
-    let mut result = Ok(());
-    if profiler::active() {
-        let folded = profiler::stop();
-        if folded.is_empty() {
-            eprintln!("profiler captured no samples");
-        } else {
-            let run = current_run_name();
-            let path = std::path::Path::new(&obs::results_dir())
-                .join("obs")
-                .join(format!("{run}.folded"));
-            result = persist::atomic_write(&path, &folded)
-                .map(|()| println!("profile: {}", path.display()))
-                .map_err(std::io::Error::other);
-        }
-    }
+/// `/quit` request ends it early), then stops it. A no-op when no
+/// endpoint is serving.
+pub fn obs_finish() {
     let server = SERVER
         .get()
         .and_then(|slot| slot.lock().expect("obs server slot").take());
@@ -291,7 +245,6 @@ pub fn obs_finish() -> std::io::Result<()> {
         }
         server.stop();
     }
-    result
 }
 
 /// The run name [`emit`] files observability output under: the `--run`
@@ -307,9 +260,9 @@ fn run_name(default: &str) -> String {
 /// Prints a table to stdout and mirrors it (plus CSV and JSON) into the
 /// results directory (`RF_RESULTS_DIR`, default `results/`). When
 /// observability is enabled, the run's metrics snapshot (with its
-/// manifest), a Prometheus text exposition (`<run>.prom`), and — if any
-/// events were captured by the `RF_TRACE` filter — a Perfetto-loadable
-/// Chrome trace (`<run>.trace.json`) land under `<dir>/obs/`.
+/// manifest) lands under `<dir>/obs/<run>.json`, and — if the `RF_TRACE`
+/// filter captured any events — the merged event stream in the
+/// [`obs::events_to_json`] format under `<dir>/obs/<run>.trace.json`.
 ///
 /// # Errors
 ///
@@ -334,13 +287,12 @@ pub fn emit(name: &str, title: &str, table: &Table) -> std::io::Result<()> {
     let run = run_name(name);
     if obs::metrics_enabled() {
         println!("obs snapshot: {}", obs::write_snapshot(&run)?);
-        write(format!("{dir}/obs/{run}.prom"), export::prometheus_text())?;
     }
     let events = obs::drain_events();
     if !events.is_empty() {
         let path = write(
             format!("{dir}/obs/{run}.trace.json"),
-            export::chrome_trace(&events).to_pretty(),
+            obs::events_to_json(&events).to_pretty(),
         )?;
         println!("trace: {path}");
     }

@@ -12,8 +12,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A minimal valid metrics snapshot for `run`: one counter, one gauge,
-/// a span-timing histogram (`*_ns`), a work histogram, and a
-/// `node_eval` bench whose median is 5 ms.
+/// a span-timing histogram (`*_ns`), and a work histogram.
 pub fn snapshot(run: &str) -> Value {
     let histogram = |count: u64, sum: u64| {
         Value::object([
@@ -26,7 +25,6 @@ pub fn snapshot(run: &str) -> Value {
             ("max", Value::from(sum / count)),
         ])
     };
-    let median = 5.0e6;
     Value::object([
         ("schema_version", Value::from(2u64)),
         (
@@ -59,17 +57,6 @@ pub fn snapshot(run: &str) -> Value {
                 ("relsim.trial_ns", histogram(200, 200_000)),
                 ("core.plan_sets", histogram(50, 4_100)),
             ]),
-        ),
-        (
-            "benches",
-            Value::object([(
-                "node_eval",
-                Value::object([
-                    ("median_ns", Value::from(median)),
-                    ("iters", Value::from(1u64)),
-                    ("batch_ns", Value::Array(vec![Value::from(median); 5])),
-                ]),
-            )]),
         ),
         ("dropped_events", Value::from(0u64)),
     ])

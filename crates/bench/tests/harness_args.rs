@@ -1,7 +1,8 @@
 //! A malformed argument must stop a harness binary with exit 1 and the
 //! bad value named, never fall back to a default: a non-numeric work
-//! amount or `--linger-ms` (the shared parser in `obs_init`), and a
-//! `--scale` that is not a positive number (`paper`).
+//! amount or `--linger-ms`, or a value-taking flag with no value (the
+//! shared parser in `obs_init`), and a `--scale` that is not a positive
+//! number (`paper`).
 
 use std::process::Command;
 
@@ -31,6 +32,12 @@ fn fleet_forecast_rejects_a_malformed_work_amount_or_linger() {
         (&["many"][..], "many"),
         (&["1000", "--linger-ms=soon"][..], "soon"),
         (&["1000", "--linger-ms", "1.5"][..], "1.5"),
+        // A value-taking flag with no value must not run a small fleet to
+        // completion with the default lane mode, run name or no endpoint.
+        (&["1000", "--epochs=1", "--lanes"][..], "--lanes"),
+        (&["1000", "--epochs=1", "--run"][..], "--run"),
+        (&["1000", "--epochs=1", "--serve-obs"][..], "--serve-obs"),
+        (&["1000", "--epochs=1", "--linger-ms"][..], "--linger-ms"),
     ] {
         let (code, stderr) = run(exe, args);
         assert_eq!(code, 1, "{args:?}: {stderr}");

@@ -1,12 +1,13 @@
 //! Drives the `obs_validate` binary over hand-built artifact directories:
-//! a valid snapshot directory and a valid experiment-record directory
-//! pass, and the corruptions the CI gates and a killed or tampered run
+//! a valid snapshot directory, a valid event stream and a valid
+//! experiment-record directory pass, and the corruptions the CI gates and a killed or tampered run
 //! leave behind — a truncated crash dump, a truncated record, records of
 //! mixed schema versions, and a record whose digest does not match its
 //! inputs — are each rejected with the offending file named.
 
 use relaxfault_bench::paper::{Experiment, ExperimentRecord};
 use relaxfault_util::crashdump::CrashDump;
+use relaxfault_util::obs::{self, Event, FieldValue, Level};
 use relaxfault_util::persist::Persist;
 use std::path::Path;
 use std::process::Command;
@@ -37,6 +38,41 @@ fn valid_snapshot_directory_passes() {
     let (code, text) = validate(&dir);
     assert_eq!(code, 0, "{text}");
     assert!(text.contains("2 artifact(s), 0 failure(s)"), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn event_stream_must_follow_the_events_to_json_schema() {
+    let dir = scratch_dir("validate_trace");
+    let path = dir.join("drift_a.trace.json");
+    let event = |trial| Event {
+        target: "relsim",
+        level: Level::Debug,
+        name: "trial_eval",
+        trial,
+        group: 0,
+        seq: 0,
+        fields: vec![("faults", FieldValue::U64(3))],
+    };
+    let stream = obs::events_to_json(&[event(0), event(obs::UNSCOPED)]);
+    std::fs::write(&path, stream.to_pretty()).unwrap();
+    let (code, text) = validate(&dir);
+    assert_eq!(code, 0, "{text}");
+
+    for bad in [
+        "[]",
+        r#"[{"name": "trial_eval", "ph": "X", "ts": 0, "tid": 0}]"#,
+        r#"[{"target": "relsim", "level": "debug", "name": "x", "fields": []}]"#,
+        r#"{"target": "relsim"}"#,
+    ] {
+        std::fs::write(&path, bad).unwrap();
+        let (code, text) = validate(&dir);
+        assert_ne!(code, 0, "{bad}: {text}");
+        assert!(
+            text.contains("FAILED") && text.contains("drift_a"),
+            "{text}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -41,7 +41,6 @@ fn paper(dir: &Path, args: &[&str]) -> Command {
         "RF_TRACE",
         "RF_OBS_ADDR",
         "RF_OBS_ADDR_FILE",
-        "RF_PROF",
         "RF_LANES",
         "RF_CHECK",
         "RF_CHECK_FAIL_TRIAL",

@@ -838,9 +838,9 @@ impl FleetSim {
         };
 
         let dirty_before = self.dirty_evals();
-        // Live-plane instrumentation: the span feeds the flight recorder
-        // and profiler, the gauges make `/metrics` show within-epoch
-        // progress while workers are still running.
+        // Live-plane instrumentation: the span feeds the flight recorder,
+        // the gauges make `/metrics` show within-epoch progress while
+        // workers are still running.
         let _epoch_span = obs::span("relsim.fleet.epoch_ns");
         obs::gauge("fleet.current_epoch").set(epoch as f64);
         let shards_done_gauge = obs::gauge("fleet.epoch_shards_done");

@@ -12,7 +12,10 @@
 //!   `/flight` endpoint in [`crate::serve`] or by a crash dump in
 //!   [`crate::crashdump`] on the way down;
 //! * [`crate::obs::drain_events`], which takes the non-span events for a
-//!   run's `trace.json` artifact and empties the rings.
+//!   run's `<run>.trace.json` artifact and empties the rings.
+//!
+//! All three outputs render events with [`crate::obs::events_to_json`],
+//! the workspace's one event format.
 //!
 //! # Concurrency and determinism
 //!

@@ -26,21 +26,18 @@
 //!   run-time [`lanes::LaneMode`] selector.
 //! * [`obs`] — structured observability: leveled event tracing with a
 //!   deterministic merged stream, a metrics registry (counters, gauges,
-//!   log-linear histograms), RAII span timers, and text/JSON sinks, all
-//!   gated to be free when disabled.
-//! * [`export`] — exporters from the [`obs`] model to external tool
-//!   formats: Chrome trace-event JSON (Perfetto-loadable) and Prometheus
-//!   text exposition, both built on the in-repo JSON/text code.
+//!   log-linear histograms), RAII span timers, a text sink, and the
+//!   workspace's two machine formats — the JSON metrics snapshot and the
+//!   JSON event array — all gated to be free when disabled.
 //! * [`flight`] — the flight recorder: always-on bounded rings of the most
 //!   recent events per thread, drainable at any time (the live `/flight`
 //!   route and crash dumps read it).
-//! * [`serve`] — an opt-in in-process HTTP endpoint serving `/metrics`,
-//!   `/health`, `/progress`, and `/flight` from a live run.
+//! * [`serve`] — an opt-in in-process HTTP endpoint serving `/metrics`
+//!   (the [`obs::snapshot`] JSON), `/health`, `/progress`, and `/flight`
+//!   (the [`obs::events_to_json`] event array) from a live run.
 //! * [`crashdump`] — drains the flight recorder, metrics, and manifest
 //!   into a schema-versioned `crash_dump` artifact on panic or injected
 //!   crash, with the newest durable fleet checkpoint embedded for replay.
-//! * [`profiler`] — a self-sampling span profiler emitting
-//!   flamegraph-folded stacks (`<run>.folded`) with no external tooling.
 //! * [`hash`] — a fast deterministic (non-cryptographic) hasher plus
 //!   `HashMap`/`HashSet` aliases for hot-loop lookups.
 //! * [`stats`] — streaming summaries, empirical CDFs, and binomial confidence
@@ -64,14 +61,12 @@
 pub mod bits;
 pub mod crashdump;
 pub mod dist;
-pub mod export;
 pub mod flight;
 pub mod hash;
 pub mod json;
 pub mod lanes;
 pub mod obs;
 pub mod persist;
-pub mod profiler;
 pub mod prop;
 pub mod rng;
 pub mod serve;

@@ -25,10 +25,11 @@
 //!   cargo profile, thread count, RNG seeds, scenario config hash,
 //!   wall-clock from an injectable clock), so any two runs can be compared
 //!   long after the processes that produced them are gone.
-//!   Simulators publish their parameters through [`note_run_context`];
-//!   bench harnesses publish medians through [`record_bench`]. External
-//!   tool formats (Perfetto traces, Prometheus exposition) are produced by
-//!   [`crate::export`] from [`drain_events`] and [`metric_snaps`].
+//!   Simulators publish their parameters through [`note_run_context`].
+//!   The snapshot is the one metrics document and [`events_to_json`] the
+//!   one event format: the harness's `<run>.json` and `<run>.trace.json`,
+//!   the live endpoint's `/metrics` and `/flight`, and crash dumps all
+//!   write these two and nothing else.
 //!
 //! # Gating and cost when disabled
 //!
@@ -85,7 +86,7 @@ use std::time::Instant;
 /// Schema marker shared by every machine-readable artifact this workspace
 /// emits (metrics snapshots and the bench tables' JSON mirrors), so
 /// downstream tooling can evolve all of them in lockstep. Version 2 added
-/// the embedded [`Manifest`] and the `benches` snapshot section.
+/// the embedded [`Manifest`].
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Scope key meaning "not inside any [`scope`] guard".
@@ -379,8 +380,6 @@ struct Global {
     metrics: Mutex<Vec<(String, Metric)>>,
     /// Simulator-published run parameters folded into the [`Manifest`].
     run_ctx: Mutex<RunContext>,
-    /// Bench medians published by `timing::Harness` for the snapshot.
-    benches: Mutex<Vec<BenchRecord>>,
     /// Injected wall clock (tests pin it; `None` = `SystemTime::now`).
     clock_ms: Mutex<Option<fn() -> u64>>,
     /// Serializes tests that reconfigure the process-wide state.
@@ -438,7 +437,6 @@ fn global() -> &'static Global {
             filter: Mutex::new(filter),
             metrics: Mutex::new(Vec::new()),
             run_ctx: Mutex::new(RunContext::default()),
-            benches: Mutex::new(Vec::new()),
             clock_ms: Mutex::new(None),
             test_lock: Mutex::new(()),
         };
@@ -693,7 +691,7 @@ const HIST_LINEAR_MAX: u64 = 16;
 
 struct HistInner {
     /// Registered name, interned for the process lifetime so span events
-    /// and profiler frames can carry it as a `&'static str`.
+    /// can carry it as a `&'static str`.
     name: &'static str,
     count: AtomicU64,
     sum: AtomicU64,
@@ -784,12 +782,11 @@ impl Histogram {
 
     /// Starts an RAII timer that records elapsed nanoseconds into this
     /// histogram on drop. Free (no clock read) while metrics are disabled
-    /// and the profiler is idle — both gates are one relaxed load each.
+    /// — the gate is one relaxed load.
     #[inline]
     pub fn start_span(&self) -> SpanTimer {
         SpanTimer {
             hist: metrics_enabled().then(|| (self.clone(), Instant::now())),
-            pushed: crate::profiler::enter(self.inner.name),
         }
     }
 }
@@ -797,8 +794,6 @@ impl Histogram {
 /// Scoped timer from [`Histogram::start_span`] / [`span`].
 pub struct SpanTimer {
     hist: Option<(Histogram, Instant)>,
-    /// Whether this span was pushed onto the profiler's stack.
-    pushed: bool,
 }
 
 impl Drop for SpanTimer {
@@ -812,9 +807,6 @@ impl Drop for SpanTimer {
                 hist.name(),
                 vec![("ns", FieldValue::U64(ns))],
             );
-        }
-        if self.pushed {
-            crate::profiler::exit();
         }
     }
 }
@@ -1091,110 +1083,6 @@ impl Manifest {
     }
 }
 
-/// One benchmark outcome published by `timing::Harness` (see
-/// [`record_bench`]): the snapshot keeps the raw per-batch samples beside
-/// the median, so a reader can judge its spread.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark name.
-    pub name: String,
-    /// Median nanoseconds per iteration across batches.
-    pub median_ns: f64,
-    /// Iterations per batch after calibration.
-    pub iters: u64,
-    /// Per-batch nanoseconds per iteration, sorted ascending.
-    pub batch_ns: Vec<f64>,
-}
-
-/// Publishes a bench median (plus its batch samples) into the snapshot's
-/// `benches` section. No-op while metrics are disabled. A repeated name
-/// replaces the earlier record.
-pub fn record_bench(name: &str, median_ns: f64, iters: u64, batch_ns: &[f64]) {
-    if !metrics_enabled() {
-        return;
-    }
-    let mut benches = global().benches.lock().expect("bench records");
-    let record = BenchRecord {
-        name: name.to_string(),
-        median_ns,
-        iters,
-        batch_ns: batch_ns.to_vec(),
-    };
-    if let Some(slot) = benches.iter_mut().find(|b| b.name == name) {
-        *slot = record;
-    } else {
-        benches.push(record);
-    }
-}
-
-/// Every bench record published so far, in publication order.
-pub fn bench_records() -> Vec<BenchRecord> {
-    global().benches.lock().expect("bench records").clone()
-}
-
-/// One metric's current state, for exporters (see [`metric_snaps`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricSnap {
-    /// A counter's value.
-    Counter(u64),
-    /// A gauge's value.
-    Gauge(f64),
-    /// A histogram's totals plus its non-empty buckets.
-    Histogram {
-        /// Values recorded.
-        count: u64,
-        /// Sum of recorded values.
-        sum: u64,
-        /// Largest recorded value (exact).
-        max: u64,
-        /// `(inclusive upper bound, count)` per non-empty bucket in
-        /// ascending order; `None` marks the unbounded last bucket.
-        buckets: Vec<(Option<u64>, u64)>,
-    },
-}
-
-/// Reads every registered metric, sorted by name — the exporter-facing
-/// view of the registry (Prometheus exposition is built from exactly
-/// this; see [`crate::export::prometheus_text`]).
-pub fn metric_snaps() -> Vec<(String, MetricSnap)> {
-    let metrics = global().metrics.lock().expect("metrics registry");
-    let mut out: Vec<(String, MetricSnap)> = metrics
-        .iter()
-        .map(|(name, m)| {
-            let snap = match m {
-                Metric::Counter(c) => MetricSnap::Counter(c.load(Ordering::Relaxed)),
-                Metric::Gauge(bits) => {
-                    MetricSnap::Gauge(f64::from_bits(bits.load(Ordering::Relaxed)))
-                }
-                Metric::Histogram(h) => {
-                    let buckets = h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(idx, b)| {
-                            let n = b.load(Ordering::Relaxed);
-                            if n == 0 {
-                                return None;
-                            }
-                            let le = (idx + 1 < HIST_BUCKETS).then(|| bucket_floor(idx + 1) - 1);
-                            Some((le, n))
-                        })
-                        .collect();
-                    MetricSnap::Histogram {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        max: h.max.load(Ordering::Relaxed),
-                        buckets,
-                    }
-                }
-            };
-            (name.clone(), snap)
-        })
-        .collect();
-    out.sort_by(|(a, _), (b, _)| a.cmp(b));
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot sink
 // ---------------------------------------------------------------------------
@@ -1206,7 +1094,6 @@ pub fn metric_snaps() -> Vec<(String, MetricSnap)> {
 /// {"schema_version": 2, "manifest": {...}, "counters": {...},
 ///  "gauges": {...},
 ///  "histograms": {"relsim.trial_ns": {"count":…, "p50":…, …}},
-///  "benches": {"node_eval": {"median_ns":…, "iters":…, "batch_ns":[…]}},
 ///  "dropped_events": 0}
 /// ```
 pub fn snapshot() -> Value {
@@ -1257,30 +1144,12 @@ fn snapshot_for_run(run: &str) -> Value {
     for list in [&mut counters, &mut gauges, &mut hists] {
         list.sort_by(|(a, _), (b, _)| a.cmp(b));
     }
-    let mut benches: Vec<(String, Value)> = bench_records()
-        .into_iter()
-        .map(|b| {
-            (
-                b.name,
-                Value::object([
-                    ("median_ns", Value::from(b.median_ns)),
-                    ("iters", Value::from(b.iters)),
-                    (
-                        "batch_ns",
-                        Value::Array(b.batch_ns.iter().map(|&ns| Value::from(ns)).collect()),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    benches.sort_by(|(a, _), (b, _)| a.cmp(b));
     Value::object([
         ("schema_version", Value::from(SCHEMA_VERSION)),
         ("manifest", Manifest::collect(run).to_json()),
         ("counters", Value::Object(counters)),
         ("gauges", Value::Object(gauges)),
         ("histograms", Value::Object(hists)),
-        ("benches", Value::Object(benches)),
         ("dropped_events", Value::from(dropped_events())),
     ])
 }
@@ -1365,7 +1234,6 @@ pub fn reset() {
         }
     }
     *g.run_ctx.lock().expect("run context") = RunContext::default();
-    g.benches.lock().expect("bench records").clear();
     crate::flight::clear();
 }
 
@@ -1645,7 +1513,6 @@ mod tests {
             manifest.get("wall_clock_ms").and_then(Value::as_f64),
             Some(42.0)
         );
-        assert!(snap.get("benches").is_some(), "benches section present");
 
         match prev {
             Some(v) => std::env::set_var("RF_RESULTS_DIR", v),
@@ -1653,34 +1520,6 @@ mod tests {
         }
         set_clock_ms(None);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_records_land_in_snapshot() {
-        let _x = exclusive();
-        let _dark = Dark;
-        reset();
-        set_metrics_enabled(true);
-        record_bench("test.bench", 120.0, 1000, &[110.0, 120.0, 130.0]);
-        record_bench("test.bench", 125.0, 1000, &[115.0, 125.0, 135.0]);
-        let snap = snapshot();
-        let b = snap
-            .get("benches")
-            .and_then(|b| b.get("test.bench"))
-            .expect("bench record in snapshot");
-        assert_eq!(b.get("median_ns").and_then(Value::as_f64), Some(125.0));
-        assert_eq!(
-            b.get("batch_ns")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(3),
-            "latest record replaces the earlier one"
-        );
-        // Disabled metrics drop records.
-        set_metrics_enabled(false);
-        reset();
-        record_bench("test.bench2", 1.0, 1, &[1.0]);
-        assert!(bench_records().is_empty());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! | Route       | Payload                                                        |
 //! |-------------|----------------------------------------------------------------|
 //! | `/health`   | JSON liveness: uptime and dropped (overwritten) events         |
-//! | `/metrics`  | Prometheus text exposition from [`crate::export::prometheus_text`] |
+//! | `/metrics`  | The metrics snapshot JSON of [`obs::snapshot`]                 |
 //! | `/progress` | The latest document published via [`publish_progress`]         |
-//! | `/flight`   | Flight-recorder snapshot as the merged-trace JSON schema       |
+//! | `/flight`   | Flight-recorder snapshot as [`obs::events_to_json`]'s event array |
 //! | `/quit`     | Requests shutdown (the owner polls [`ObsServer::quit_requested`]) |
 //!
 //! The server is opt-in (`--serve-obs <port>` / `RF_OBS_ADDR` through the
@@ -23,10 +23,9 @@
 //!
 //! Binding port 0 lets the OS pick a free port — the bound address is
 //! returned by [`ObsServer::addr`] and, when `RF_OBS_ADDR_FILE` names a
-//! path, written there atomically so a second process (the CI smoke gate)
-//! can discover it without racing.
+//! path, written there atomically so a second process (a poller such as
+//! `crates/bench/tests/live_endpoint.rs`) can discover it without racing.
 
-use crate::export;
 use crate::flight;
 use crate::json::Value;
 use crate::obs;
@@ -228,16 +227,12 @@ fn handle_conn(mut stream: TcpStream, quit: &AtomicBool, started: Instant) {
                 ]);
                 ("200 OK", "application/json", health.to_pretty())
             }
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                export::prometheus_text(),
-            ),
+            "/metrics" => ("200 OK", "application/json", obs::snapshot().to_pretty()),
             "/progress" => ("200 OK", "application/json", progress().to_pretty()),
             "/flight" => (
                 "200 OK",
                 "application/json",
-                export::chrome_trace(&flight::snapshot()).to_pretty(),
+                obs::events_to_json(&flight::snapshot()).to_pretty(),
             ),
             "/quit" => {
                 quit.store(true, Ordering::Relaxed);
@@ -359,15 +354,28 @@ mod tests {
         assert!(health.contains("\"status\": \"ok\""), "health: {health}");
 
         let metrics = http_get(addr, "/metrics");
-        assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
-        assert!(metrics.contains("servetest_requests 3"), "{metrics}");
+        assert!(metrics.contains("application/json"), "{metrics}");
+        let (_, body) = metrics.split_once("\r\n\r\n").expect("head terminator");
+        let snapshot = Value::parse(body).expect("/metrics is the snapshot JSON");
+        assert_eq!(
+            snapshot
+                .get("counters")
+                .and_then(|c| c.get("servetest.requests"))
+                .and_then(Value::as_f64),
+            Some(3.0),
+            "{metrics}"
+        );
 
         let progress = http_get(addr, "/progress");
         assert!(progress.contains("\"epoch\": 7"), "progress: {progress}");
 
         let flight = http_get(addr, "/flight");
         assert!(
-            flight.contains("servetest.work_ns") && flight.contains("\"cat\": \"obs.span\""),
+            flight.ends_with(&obs::events_to_json(&flight::snapshot()).to_pretty()),
+            "flight: {flight}"
+        );
+        assert!(
+            flight.contains("servetest.work_ns") && flight.contains("\"target\": \"obs.span\""),
             "flight: {flight}"
         );
 

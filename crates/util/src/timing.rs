@@ -35,8 +35,8 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Iterations per batch after calibration.
     pub iters: u64,
-    /// Per-batch nanoseconds per iteration, in run order; the obs
-    /// snapshot keeps them beside the median so its spread is visible.
+    /// Per-batch nanoseconds per iteration, in run order, so a reader
+    /// can judge the median's spread.
     pub batch_ns: Vec<f64>,
 }
 
@@ -91,7 +91,6 @@ impl Harness {
             format_ns(median_ns),
             self.batches
         );
-        crate::obs::record_bench(name, median_ns, iters, &batch_ns);
         self.results.push(BenchResult {
             name: name.to_string(),
             median_ns,

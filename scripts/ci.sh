@@ -5,10 +5,11 @@
 # loudly instead of silently fetching.
 #
 # Exit codes: 0 every gate passed; 3 the relcheck oracles or the RF_CHECK
-# repro loop; 4 fleet checkpoint/resume or crash-dump replay; 5 the live
-# endpoint; 7 the lane matrix. Any other non-zero status is that of the
-# failing step itself (fmt, clippy, build, test, the observability and
-# drift gates, the overhead bench).
+# repro loop; 4 fleet checkpoint/resume or crash-dump replay; 7 the lane
+# matrix. Any other non-zero status is that of the failing step itself
+# (fmt, clippy, build, test, the observability and drift gates, the
+# overhead bench, the final artifact sweep). The live telemetry endpoint
+# is driven by `crates/bench/tests/live_endpoint.rs` in `cargo test`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,20 +27,22 @@ rm -rf results/obs
 RF_TRACE=relsim=debug cargo test -q --test smoke
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 
-# Determinism drift gate: the whole paper twice at a reduced scale must
-# produce identical counters, gauges, histogram counts and work-histogram
-# sums (`obs_report diff`; span timings may jitter and are not compared),
-# and the experiment records it leaves must pass the strict validator.
-# The committed lane-matrix verdict stays; the snapshots and records are
-# scrubbed, so every gate below sees only this run's output.
-rm -rf results/ci/obs results/ci/records
-RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_a \
-    cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.01
-RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_b \
-    cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.01
+# Determinism drift gate: the whole paper twice at a reduced scale, each
+# run in its own results directory, must leave byte-identical experiment
+# records and figure views (`diff -r`), identical counters, gauges,
+# histogram counts and work-histogram sums (`obs_report diff`; span
+# timings may jitter and are not compared), and records that pass the
+# strict validator. The committed lane-matrix verdict stays; every other
+# CI output is scrubbed, so each gate below sees only this run's output.
+rm -rf results/ci/obs results/ci/records results/ci/drift_a results/ci/drift_b
+for run in drift_a drift_b; do
+    RF_OBS=on RF_RESULTS_DIR="results/ci/$run" RF_RUN_NAME="$run" \
+        cargo run --release -q -p relaxfault-bench --bin paper -- --scale 0.01
+    cargo run --release -q -p relaxfault-bench --bin obs_validate "results/ci/$run/records"
+done
+diff -r --exclude=obs results/ci/drift_a results/ci/drift_b
 cargo run --release -q -p relaxfault-bench --bin obs_report -- diff \
-    results/ci/obs/drift_a.json results/ci/obs/drift_b.json
-cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/records
+    results/ci/drift_a/obs/drift_a.json results/ci/drift_b/obs/drift_b.json
 
 # Disabled-path guard: observability must cost <1% of the Monte Carlo
 # inner loop when off (the bench exits non-zero otherwise).
@@ -125,60 +128,7 @@ if cargo run --release -q -p relaxfault-bench --bin obs_validate \
     exit 4
 fi
 
-# Live-endpoint smoke gate: a profiled fleet run serving the telemetry
-# plane on an OS-assigned port (published through RF_OBS_ADDR_FILE) must
-# answer all four routes over plain /dev/tcp, serve well-formed Prometheus
-# text, honour /quit for a deterministic shutdown, and leave a non-empty
-# folded profile naming relsim spans. The final obs_validate sweep covers
-# everything the CI runs dropped in results/ci/obs: snapshots, traces,
-# crash dumps, and the folded profile.
-rm -f results/ci/obs_addr results/ci/obs/live_smoke.folded
-RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=live_smoke \
-    RF_OBS_ADDR_FILE=results/ci/obs_addr \
-    cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
-    200000 --epochs=8 --serve-obs=0 --profile --linger-ms=30000 &
-live_pid=$!
-for _ in $(seq 1 300); do [ -s results/ci/obs_addr ] && break; sleep 0.1; done
-[ -s results/ci/obs_addr ] || {
-    echo "live gate: endpoint address never published" >&2
-    kill "$live_pid" 2>/dev/null; exit 5
-}
-addr=$(cat results/ci/obs_addr)
-obs_get() { # obs_get /route -> full HTTP response on stdout
-    exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-    printf 'GET %s HTTP/1.0\r\n\r\n' "$1" >&3
-    cat <&3
-    exec 3<&-
-}
-obs_get /health | grep -q '"status": "ok"' \
-    || { echo "live gate: /health unhealthy" >&2; kill "$live_pid"; exit 5; }
-metrics=$(obs_get /metrics)
-echo "$metrics" | head -n1 | grep -q "200 OK" \
-    || { echo "live gate: /metrics not 200" >&2; kill "$live_pid"; exit 5; }
-echo "$metrics" | grep -q "text/plain; version=0.0.4" \
-    || { echo "live gate: /metrics content-type" >&2; kill "$live_pid"; exit 5; }
-echo "$metrics" | grep -Eq '^# TYPE [a-zA-Z_][a-zA-Z0-9_:]* (counter|gauge|histogram)' \
-    || { echo "live gate: /metrics not Prometheus text" >&2; kill "$live_pid"; exit 5; }
-obs_get /flight | grep -q '^\[' \
-    || { echo "live gate: /flight is not an event array" >&2; kill "$live_pid"; exit 5; }
-# The run publishes a fresh document every boundary; once it completes it
-# lingers, so polling until `complete` terminates deterministically.
-progress_ok=
-for _ in $(seq 1 600); do
-    if obs_get /progress | grep -q '"status": "complete"'; then progress_ok=1; break; fi
-    sleep 0.5
-done
-[ -n "$progress_ok" ] || { echo "live gate: /progress never completed" >&2; kill "$live_pid"; exit 5; }
-obs_get /progress | grep -q '"forecast"' \
-    || { echo "live gate: /progress has no forecast" >&2; kill "$live_pid"; exit 5; }
-obs_get /quit >/dev/null
-if ! wait "$live_pid"; then
-    echo "live gate: served run did not exit cleanly" >&2
-    exit 5
-fi
-folded=results/ci/obs/live_smoke.folded
-[ -s "$folded" ] || { echo "live gate: no folded profile written" >&2; exit 5; }
-grep -q "relsim" "$folded" \
-    || { echo "live gate: folded profile names no relsim spans" >&2; exit 5; }
-cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
-    || { echo "live gate: results/ci/obs failed validation" >&2; exit 5; }
+# Artifact sweep: everything the fleet and crash-dump runs dropped in
+# results/ci/obs (snapshots and crash dumps) must pass the strict
+# validator.
+cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs
